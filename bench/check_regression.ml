@@ -167,6 +167,13 @@ let () =
                ns bytes context
          | None -> ())
      res_hp);
+  (* [wall_s] holds section wall times in seconds plus a few keyed
+     figures whose unit is named by the key's suffix. *)
+  let with_unit k v =
+    if String.ends_with ~suffix:"_per_s" k then Printf.sprintf "%.2f/s" v
+    else if String.ends_with ~suffix:"_bytes" k then Printf.sprintf "%.0f B" v
+    else Printf.sprintf "%.2fs" v
+  in
   (match
      ( Gem_util.Jsonx.to_obj (obj_field baseline_path baseline "wall_s"),
        Gem_util.Jsonx.to_obj (obj_field results_path results "wall_s") )
@@ -178,8 +185,10 @@ let () =
           | None -> ()
           | Some r -> (
               match Option.bind (List.assoc_opt k bw) Gem_util.Jsonx.to_float with
-              | Some b -> Printf.printf "info %s: %.2fs (baseline %.2fs)\n" k r b
-              | None -> Printf.printf "info %s: %.2fs (no baseline)\n" k r))
+              | Some b ->
+                  Printf.printf "info %s: %s (baseline %s)\n" k (with_unit k r)
+                    (with_unit k b)
+              | None -> Printf.printf "info %s: %s (no baseline)\n" k (with_unit k r)))
         rw
   | _ -> ());
   if !fail_count = 0 then (

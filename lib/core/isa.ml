@@ -467,18 +467,32 @@ module Fault = Gem_sim.Fault
 
 let ceil_div a b = (a + b - 1) / b
 
+(* [validate] runs on every dispatched command, so a passing check must
+   not allocate. Each check raises [Invalid] on failure instead of
+   returning a result, which keeps the sequencing closure-free; the
+   checks of a command run in a fixed order, so the first failing one
+   decides the error. Messages are formatted only on failure. *)
+exception Invalid of Fault.cause
+
 let illegal fmt =
-  Printf.ksprintf (fun msg -> Error (Fault.Illegal_inst msg)) fmt
+  Printf.ksprintf (fun msg -> raise (Invalid (Fault.Illegal_inst msg))) fmt
 
 let field ~what ~lo ~hi v =
-  if v < lo || v > hi then
-    illegal "%s = %d out of range [%d, %d]" what v lo hi
-  else Ok ()
+  if v < lo || v > hi then illegal "%s = %d out of range [%d, %d]" what v lo hi
 
 let finite_scale scale =
-  if Float.is_finite scale then Ok () else Error (Fault.Acc_overflow { scale })
+  if not (Float.is_finite scale) then
+    raise (Invalid (Fault.Acc_overflow { scale }))
 
-let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e
+let local_limit p local =
+  if Local_addr.is_accumulator local then Params.acc_rows p
+  else Params.sp_rows p
+
+let local_oob ~local ~row ~rows ~limit =
+  let target =
+    if Local_addr.is_accumulator local then "accumulator" else "scratchpad"
+  in
+  raise (Invalid (Fault.Local_oob { target; row; rows; limit }))
 
 (* A strided local access touches rows [row, row + strides*dim + rows) of
    its target memory: mvin/mvout place each dim-wide column block a full
@@ -488,105 +502,91 @@ let local_extent ~p ~local ~cols ~rows =
   let dim = Params.dim p in
   let blocks = ceil_div cols dim in
   let row = Local_addr.row local in
-  let target, limit =
-    if Local_addr.is_accumulator local then ("accumulator", Params.acc_rows p)
-    else ("scratchpad", Params.sp_rows p)
-  in
+  let limit = local_limit p local in
   let last = row + ((blocks - 1) * dim) + rows in
-  if last > limit then
-    Error (Fault.Local_oob { target; row; rows = last - row; limit })
-  else Ok ()
+  if last > limit then local_oob ~local ~row ~rows:(last - row) ~limit
 
+(* Block operands of preload/compute may name the garbage address, which
+   reads zeros and writes nowhere. *)
 let block_extent ~p ~local ~rows =
-  let row = Local_addr.row local in
-  let target, limit =
-    if Local_addr.is_accumulator local then ("accumulator", Params.acc_rows p)
-    else ("scratchpad", Params.sp_rows p)
-  in
-  if row + rows > limit then
-    Error (Fault.Local_oob { target; row; rows; limit })
-  else Ok ()
+  if not (Local_addr.is_garbage local) then begin
+    let row = Local_addr.row local in
+    let limit = local_limit p local in
+    if row + rows > limit then local_oob ~local ~row ~rows ~limit
+  end
 
 let dram_max = (1 lsl 48) - 1
 
-let validate p cmd =
+let check p cmd =
   let dim = Params.dim p in
   match cmd with
   | Config_ex { dataflow; sys_shift; _ } ->
-      let* () = field ~what:"sys_shift" ~lo:0 ~hi:63 sys_shift in
-      if Dataflow.supports p.Params.dataflow dataflow then Ok ()
-      else
+      field ~what:"sys_shift" ~lo:0 ~hi:63 sys_shift;
+      if not (Dataflow.supports p.Params.dataflow dataflow) then
         illegal "dataflow %s not supported by this instance (%s)"
           (match dataflow with `WS -> "WS" | `OS -> "OS")
           (Dataflow.to_string p.Params.dataflow)
   | Config_ld { ld_stride_bytes; ld_scale; ld_id; _ } ->
-      let* () = field ~what:"ld_id" ~lo:0 ~hi:2 ld_id in
-      let* () = field ~what:"ld_stride" ~lo:0 ~hi:0xFFFF_FFFF ld_stride_bytes in
+      field ~what:"ld_id" ~lo:0 ~hi:2 ld_id;
+      field ~what:"ld_stride" ~lo:0 ~hi:0xFFFF_FFFF ld_stride_bytes;
       finite_scale ld_scale
   | Config_st { st_stride_bytes; st_scale; st_pool; _ } ->
-      let* () = field ~what:"st_stride" ~lo:0 ~hi:0xFFFF_FFFF st_stride_bytes in
-      let* () =
-        match st_pool with
-        | None -> Ok ()
-        | Some { window; stride; padding } ->
-            let* () = field ~what:"pool window" ~lo:1 ~hi:15 window in
-            let* () = field ~what:"pool stride" ~lo:1 ~hi:15 stride in
-            field ~what:"pool padding" ~lo:0 ~hi:15 padding
-      in
+      field ~what:"st_stride" ~lo:0 ~hi:0xFFFF_FFFF st_stride_bytes;
+      (match st_pool with
+      | None -> ()
+      | Some { window; stride; padding } ->
+          field ~what:"pool window" ~lo:1 ~hi:15 window;
+          field ~what:"pool stride" ~lo:1 ~hi:15 stride;
+          field ~what:"pool padding" ~lo:0 ~hi:15 padding);
       finite_scale st_scale
   | Mvin ({ dram_addr; local; cols; rows }, id) ->
-      let* () = field ~what:"mvin id" ~lo:0 ~hi:2 id in
-      let* () = field ~what:"dram_addr" ~lo:0 ~hi:dram_max dram_addr in
-      let* () = field ~what:"mvin cols" ~lo:1 ~hi:(4 * dim) cols in
-      let* () = field ~what:"mvin rows" ~lo:1 ~hi:dim rows in
+      field ~what:"mvin id" ~lo:0 ~hi:2 id;
+      field ~what:"dram_addr" ~lo:0 ~hi:dram_max dram_addr;
+      field ~what:"mvin cols" ~lo:1 ~hi:(4 * dim) cols;
+      field ~what:"mvin rows" ~lo:1 ~hi:dim rows;
       if Local_addr.is_garbage local then
         illegal "mvin destination is the garbage address"
       else if Local_addr.accumulate_flag local && not (Local_addr.is_accumulator local)
       then illegal "mvin accumulate flag on a scratchpad destination"
       else local_extent ~p ~local ~cols ~rows
   | Mvout { dram_addr; local; cols; rows } ->
-      let* () = field ~what:"dram_addr" ~lo:0 ~hi:dram_max dram_addr in
-      let* () = field ~what:"mvout cols" ~lo:1 ~hi:dim cols in
-      let* () = field ~what:"mvout rows" ~lo:1 ~hi:dim rows in
+      field ~what:"dram_addr" ~lo:0 ~hi:dram_max dram_addr;
+      field ~what:"mvout cols" ~lo:1 ~hi:dim cols;
+      field ~what:"mvout rows" ~lo:1 ~hi:dim rows;
       if Local_addr.is_garbage local then
         illegal "mvout source is the garbage address"
       else local_extent ~p ~local ~cols ~rows
   | Preload { b; c; b_cols; b_rows; c_cols; c_rows } ->
-      let* () = field ~what:"preload b_cols" ~lo:1 ~hi:dim b_cols in
-      let* () = field ~what:"preload b_rows" ~lo:1 ~hi:dim b_rows in
-      let* () = field ~what:"preload c_cols" ~lo:1 ~hi:dim c_cols in
-      let* () = field ~what:"preload c_rows" ~lo:1 ~hi:dim c_rows in
-      let* () =
-        if Local_addr.is_garbage b then Ok ()
-        else block_extent ~p ~local:b ~rows:b_rows
-      in
-      if Local_addr.is_garbage c then Ok ()
-      else block_extent ~p ~local:c ~rows:c_rows
+      field ~what:"preload b_cols" ~lo:1 ~hi:dim b_cols;
+      field ~what:"preload b_rows" ~lo:1 ~hi:dim b_rows;
+      field ~what:"preload c_cols" ~lo:1 ~hi:dim c_cols;
+      field ~what:"preload c_rows" ~lo:1 ~hi:dim c_rows;
+      block_extent ~p ~local:b ~rows:b_rows;
+      block_extent ~p ~local:c ~rows:c_rows
   | Compute_preloaded { a; bd; a_cols; a_rows; bd_cols; bd_rows }
   | Compute_accumulated { a; bd; a_cols; a_rows; bd_cols; bd_rows } ->
-      let* () = field ~what:"compute a_cols" ~lo:1 ~hi:0xFFFF a_cols in
-      let* () = field ~what:"compute a_rows" ~lo:1 ~hi:0xFFFF a_rows in
-      let* () = field ~what:"compute bd_cols" ~lo:1 ~hi:0xFFFF bd_cols in
-      let* () = field ~what:"compute bd_rows" ~lo:1 ~hi:0xFFFF bd_rows in
-      let* () =
-        if Local_addr.is_garbage a then Ok ()
-        else block_extent ~p ~local:a ~rows:(min a_rows dim)
-      in
-      if Local_addr.is_garbage bd then Ok ()
-      else block_extent ~p ~local:bd ~rows:(min bd_rows dim)
+      field ~what:"compute a_cols" ~lo:1 ~hi:0xFFFF a_cols;
+      field ~what:"compute a_rows" ~lo:1 ~hi:0xFFFF a_rows;
+      field ~what:"compute bd_cols" ~lo:1 ~hi:0xFFFF bd_cols;
+      field ~what:"compute bd_rows" ~lo:1 ~hi:0xFFFF bd_rows;
+      block_extent ~p ~local:a ~rows:(min a_rows dim);
+      block_extent ~p ~local:bd ~rows:(min bd_rows dim)
   | Loop_ws_bounds { lw_m; lw_k; lw_n; _ } ->
-      let* () = field ~what:"loop m" ~lo:1 ~hi:0xFFFF lw_m in
-      let* () = field ~what:"loop k" ~lo:1 ~hi:0xFFFF lw_k in
+      field ~what:"loop m" ~lo:1 ~hi:0xFFFF lw_m;
+      field ~what:"loop k" ~lo:1 ~hi:0xFFFF lw_k;
       field ~what:"loop n" ~lo:1 ~hi:0xFFFF lw_n
   | Loop_ws_addrs { lw_a; lw_b } ->
-      let* () = field ~what:"loop a" ~lo:0 ~hi:dram_max lw_a in
+      field ~what:"loop a" ~lo:0 ~hi:dram_max lw_a;
       field ~what:"loop b" ~lo:0 ~hi:dram_max lw_b
   | Loop_ws_outs { lw_bias; lw_c } ->
-      let* () = field ~what:"loop bias" ~lo:0 ~hi:dram_max lw_bias in
+      field ~what:"loop bias" ~lo:0 ~hi:dram_max lw_bias;
       field ~what:"loop c" ~lo:0 ~hi:dram_max lw_c
   | Loop_ws { lw_a_stride; lw_b_stride; lw_c_stride; lw_scale } ->
-      let* () = field ~what:"a stride" ~lo:0 ~hi:0xFF_FFFF lw_a_stride in
-      let* () = field ~what:"b stride" ~lo:0 ~hi:0xFF_FFFF lw_b_stride in
-      let* () = field ~what:"c stride" ~lo:0 ~hi:0xFF_FFFF lw_c_stride in
+      field ~what:"a stride" ~lo:0 ~hi:0xFF_FFFF lw_a_stride;
+      field ~what:"b stride" ~lo:0 ~hi:0xFF_FFFF lw_b_stride;
+      field ~what:"c stride" ~lo:0 ~hi:0xFF_FFFF lw_c_stride;
       finite_scale lw_scale
-  | Flush | Fence -> Ok ()
+  | Flush | Fence -> ()
+
+let validate p cmd =
+  match check p cmd with () -> Ok () | exception Invalid cause -> Error cause

@@ -35,37 +35,40 @@ let data_base cores = 0x4000_0000 + (cores * 0x0100_0000)
 let va_base = 0x0001_0000
 
 (* One L2+DRAM access path shared by every requester on the SoC. Runs once
-   per cache line of every DMA burst, so the loop is tail-recursive with
-   unboxed int accumulators: the quiet path allocates nothing. *)
+   per cache line of every DMA burst, so the line loop is a top-level
+   tail-recursive function with unboxed int arguments: the quiet path
+   allocates nothing (a local closure over the request would cost one
+   allocation per request). *)
+let rec mem_lines soc ~now ~line ~occupancy ~write ln last finish =
+  if ln > last then finish
+  else begin
+    let addr = ln * line in
+    let port_done = Engine.acquire soc.engine soc.l2_port ~now ~occupancy in
+    let line_done =
+      match Cache.access soc.l2 ~addr ~write with
+      | Cache.Hit -> port_done + soc.cfg.Soc_config.l2_hit_latency
+      | Cache.Miss ->
+          (* Allocate: fetch the line from DRAM. *)
+          Dram.access soc.dram ~now:port_done ~bytes:line ~write:false
+      | Cache.Miss_writeback ->
+          (* A dirty victim writes back, consuming bandwidth but not
+             adding to the critical path. *)
+          let fetch_done =
+            Dram.access soc.dram ~now:port_done ~bytes:line ~write:false
+          in
+          ignore (Dram.access soc.dram ~now:port_done ~bytes:line ~write:true);
+          fetch_done
+    in
+    mem_lines soc ~now ~line ~occupancy ~write (ln + 1) last
+      (if line_done > finish then line_done else finish)
+  end
+
 let mem_access soc ~now ~paddr ~bytes ~write =
   let cfg = soc.cfg in
   let line = cfg.Soc_config.l2_line_bytes in
   let occupancy = Mathx.ceil_div line cfg.Soc_config.l2_port_bytes in
   let first = paddr / line and last = (paddr + max bytes 1 - 1) / line in
-  let rec lines ln finish =
-    if ln > last then finish
-    else begin
-      let addr = ln * line in
-      let port_done = Engine.acquire soc.engine soc.l2_port ~now ~occupancy in
-      let line_done =
-        match Cache.access soc.l2 ~addr ~write with
-        | Cache.Hit -> port_done + cfg.Soc_config.l2_hit_latency
-        | Cache.Miss ->
-            (* Allocate: fetch the line from DRAM. *)
-            Dram.access soc.dram ~now:port_done ~bytes:line ~write:false
-        | Cache.Miss_writeback ->
-            (* A dirty victim writes back, consuming bandwidth but not
-               adding to the critical path. *)
-            let fetch_done =
-              Dram.access soc.dram ~now:port_done ~bytes:line ~write:false
-            in
-            ignore (Dram.access soc.dram ~now:port_done ~bytes:line ~write:true);
-            fetch_done
-      in
-      lines (ln + 1) (if line_done > finish then line_done else finish)
-    end
-  in
-  lines first now
+  mem_lines soc ~now ~line ~occupancy ~write first last now
 
 let make_port soc : Gemmini.Dma.port =
   {

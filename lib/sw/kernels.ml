@@ -13,9 +13,22 @@ let flush_tlb = insn Isa.Flush
    MAX_BLOCK_LEN (4) adjacent DIM-blocks of columns. *)
 let max_block_len = 4
 
+(* One op per stream node over a stream of op lists. Chunks are generated
+   only when the consumer reaches them, and a layer's ops get one stream
+   node each, however many chunk streams were composed to build it. *)
+let rec flatten_from chunk rest () =
+  match chunk with
+  | op :: chunk -> Seq.Cons (op, flatten_from chunk rest)
+  | [] -> (
+      match rest () with
+      | Seq.Nil -> Seq.Nil
+      | Seq.Cons (chunk, rest) -> flatten_from chunk rest ())
+
+let flatten chunks = flatten_from [] chunks
+
 type conv_im2col = Im2col_on_cpu | Im2col_on_accel | Im2col_preexpanded of int
 
-let matmul_ops p ?tiling ?schedule ?bias ?bias_column
+let matmul_tiles p ?tiling ?schedule ?bias ?bias_column
     ?(act = Peripheral.No_activation) ?(scale = 1.0) ?a_row_stride
     ?b_row_stride ?c_row_stride ?(a_condense = 1.0) ~a ~b ~out ~m ~k ~n () =
   if m <= 0 || k <= 0 || n <= 0 then invalid_arg "Kernels.matmul: empty problem";
@@ -52,150 +65,159 @@ let matmul_ops p ?tiling ?schedule ?bias ?bias_column
   let a_base parity = parity * a_tile_rows in
   let b_base parity = (2 * a_tile_rows) + (parity * b_tile_rows) in
   let c_base ii jj = (ii * tl.Tiling.tj) + jj |> ( * ) dim in
-  let ops = ref [] in
-  let emit i = ops := insn i :: !ops in
-  emit
-    (Isa.Config_ex
-       {
-         dataflow = sched.Schedule.dataflow;
-         activation = Peripheral.No_activation;
-         sys_shift = 0;
-         a_transpose = false;
-         b_transpose = false;
-       });
-  emit (Isa.Config_ld { ld_stride_bytes = condense_len a_stride; ld_scale = 1.0; ld_shrunk = false; ld_id = 0 });
-  emit (Isa.Config_ld { ld_stride_bytes = b_stride; ld_scale = 1.0; ld_shrunk = false; ld_id = 1 });
-  emit
-    (Isa.Config_ld
-       {
-         ld_stride_bytes = (if Option.is_some bias_column then 4 else 0);
-         ld_scale = 1.0;
-         ld_shrunk = false;
-         ld_id = 2;
-       });
-  emit
-    (Isa.Config_st
-       { st_stride_bytes = c_stride; st_activation = act; st_scale = scale; st_pool = None });
+  let config =
+    List.map insn
+      [
+        Isa.Config_ex
+          {
+            dataflow = sched.Schedule.dataflow;
+            activation = Peripheral.No_activation;
+            sys_shift = 0;
+            a_transpose = false;
+            b_transpose = false;
+          };
+        Isa.Config_ld { ld_stride_bytes = condense_len a_stride; ld_scale = 1.0; ld_shrunk = false; ld_id = 0 };
+        Isa.Config_ld { ld_stride_bytes = b_stride; ld_scale = 1.0; ld_shrunk = false; ld_id = 1 };
+        Isa.Config_ld
+          {
+            ld_stride_bytes = (if Option.is_some bias_column then 4 else 0);
+            ld_scale = 1.0;
+            ld_shrunk = false;
+            ld_id = 2;
+          };
+        Isa.Config_st
+          { st_stride_bytes = c_stride; st_activation = act; st_scale = scale; st_pool = None };
+      ]
+  in
   let rows_of gi = min dim (m - (gi * dim)) in
   let kcols_of gk = min dim (k - (gk * dim)) in
   let ncols_of gj = min dim (n - (gj * dim)) in
-  let it = ref 0 in
-  for i0 = 0 to Mathx.ceil_div bi tl.Tiling.ti - 1 do
+  let ni = Mathx.ceil_div bi tl.Tiling.ti in
+  let nj = Mathx.ceil_div bj tl.Tiling.tj in
+  let nk = Mathx.ceil_div bk tl.Tiling.tk in
+  (* Step [s] is K step [k0] of output tile [t] = (i0, j0), in the
+     kernel's i0/j0/k0 loop order: its A and B loads and the computes
+     over them, preceded by the tile's bias staging when [k0] is the
+     first step and followed by its drain when it is the last. The double
+     buffers alternate per step, so the buffer parity is [s]'s. *)
+  let step_ops s =
+    let t = s / nk and k0 = s mod nk in
+    let i0 = t / nj and j0 = t mod nj in
     let vi = min tl.Tiling.ti (bi - (i0 * tl.Tiling.ti)) in
-    for j0 = 0 to Mathx.ceil_div bj tl.Tiling.tj - 1 do
-      let vj = min tl.Tiling.tj (bj - (j0 * tl.Tiling.tj)) in
-      (* Stage the bias (if any) into the C accumulator tile: a stride-0
-         broadcast mvin per block. *)
-      (match (bias, bias_column) with
-      | None, None -> ()
-      | Some bias_va, _ | None, Some bias_va ->
-          for ii = 0 to vi - 1 do
-            for jj = 0 to vj - 1 do
-              let gi = (i0 * tl.Tiling.ti) + ii and gj = (j0 * tl.Tiling.tj) + jj in
-              let dram_addr =
-                match bias_column with
-                | Some _ -> bias_va + (gi * dim * 4) (* one word per row *)
-                | None -> bias_va + (gj * dim * 4) (* broadcast per column *)
-              in
-              emit
-                (Isa.Mvin
-                   ( {
-                       Isa.dram_addr;
-                       local = L.accumulator ~row:(c_base ii jj) ();
-                       cols = ncols_of gj;
-                       rows = rows_of gi;
-                     },
-                     2 ))
-            done
-          done);
-      for k0 = 0 to Mathx.ceil_div bk tl.Tiling.tk - 1 do
-        let vk = min tl.Tiling.tk (bk - (k0 * tl.Tiling.tk)) in
-        let parity = !it land 1 in
-        incr it;
-        (* Load the A tile. *)
+    let vj = min tl.Tiling.tj (bj - (j0 * tl.Tiling.tj)) in
+    let vk = min tl.Tiling.tk (bk - (k0 * tl.Tiling.tk)) in
+    let parity = s land 1 in
+    let ops = ref [] in
+    let emit i = ops := insn i :: !ops in
+    (* Stage the bias (if any) into the C accumulator tile: a stride-0
+       broadcast mvin per block. *)
+    (match (bias, bias_column) with
+    | _ when k0 > 0 -> ()
+    | None, None -> ()
+    | Some bias_va, _ | None, Some bias_va ->
         for ii = 0 to vi - 1 do
-          let gi = (i0 * tl.Tiling.ti) + ii in
-          let kk = ref 0 in
-          while !kk < vk do
-            let w = min max_block_len (vk - !kk) in
-            let gk = (k0 * tl.Tiling.tk) + !kk in
-            let cols = min (w * dim) (k - (gk * dim)) in
+          for jj = 0 to vj - 1 do
+            let gi = (i0 * tl.Tiling.ti) + ii and gj = (j0 * tl.Tiling.tj) + jj in
+            let dram_addr =
+              match bias_column with
+              | Some _ -> bias_va + (gi * dim * 4) (* one word per row *)
+              | None -> bias_va + (gj * dim * 4) (* broadcast per column *)
+            in
             emit
               (Isa.Mvin
                  ( {
-                     Isa.dram_addr = a + condense_off ((gi * dim * a_stride) + (gk * dim));
-                     local = L.scratchpad ~row:(a_base parity + (((ii * tl.Tiling.tk) + !kk) * dim));
-                     cols = condense_len cols;
+                     Isa.dram_addr;
+                     local = L.accumulator ~row:(c_base ii jj) ();
+                     cols = ncols_of gj;
                      rows = rows_of gi;
                    },
-                   0 ));
-            kk := !kk + w
+                   2 ))
           done
-        done;
-        (* Load the B tile. *)
-        for kk = 0 to vk - 1 do
-          let gk = (k0 * tl.Tiling.tk) + kk in
-          let jj = ref 0 in
-          while !jj < vj do
-            let w = min max_block_len (vj - !jj) in
-            let gj = (j0 * tl.Tiling.tj) + !jj in
-            let cols = min (w * dim) (n - (gj * dim)) in
-            emit
-              (Isa.Mvin
-                 ( {
-                     Isa.dram_addr = b + (gk * dim * b_stride) + (gj * dim);
-                     local = L.scratchpad ~row:(b_base parity + (((kk * tl.Tiling.tj) + !jj) * dim));
-                     cols;
-                     rows = kcols_of gk;
-                   },
-                   1 ));
-            jj := !jj + w
-          done
-        done;
-        (* Compute: keep each B block stationary across the I dimension. *)
-        for kk = 0 to vk - 1 do
-          let gk = (k0 * tl.Tiling.tk) + kk in
-          for jj = 0 to vj - 1 do
-            let gj = (j0 * tl.Tiling.tj) + jj in
-            let b_local =
-              L.scratchpad ~row:(b_base parity + (((kk * tl.Tiling.tj) + jj) * dim))
-            in
-            for ii = 0 to vi - 1 do
-              let gi = (i0 * tl.Tiling.ti) + ii in
-              let first_of_b = ii = 0 in
-              let accumulate =
-                Option.is_some bias || Option.is_some bias_column || k0 > 0 || kk > 0
-              in
-              let c_la = L.accumulator ~accumulate ~row:(c_base ii jj) () in
-              emit
-                (Isa.Preload
-                   {
-                     b = (if first_of_b then b_local else L.garbage);
-                     c = c_la;
-                     b_rows = kcols_of gk;
-                     b_cols = ncols_of gj;
-                     c_rows = rows_of gi;
-                     c_cols = ncols_of gj;
-                   });
-              let args =
-                {
-                  Isa.a =
-                    L.scratchpad ~row:(a_base parity + (((ii * tl.Tiling.tk) + kk) * dim));
-                  bd = L.garbage;
-                  a_cols = kcols_of gk;
-                  a_rows = rows_of gi;
-                  bd_cols = ncols_of gj;
-                  bd_rows = rows_of gi;
-                }
-              in
-              emit
-                (if first_of_b then Isa.Compute_preloaded args
-                 else Isa.Compute_accumulated args)
-            done
-          done
+        done);
+    (* Load the A tile. *)
+    for ii = 0 to vi - 1 do
+      let gi = (i0 * tl.Tiling.ti) + ii in
+      let kk = ref 0 in
+      while !kk < vk do
+        let w = min max_block_len (vk - !kk) in
+        let gk = (k0 * tl.Tiling.tk) + !kk in
+        let cols = min (w * dim) (k - (gk * dim)) in
+        emit
+          (Isa.Mvin
+             ( {
+                 Isa.dram_addr = a + condense_off ((gi * dim * a_stride) + (gk * dim));
+                 local = L.scratchpad ~row:(a_base parity + (((ii * tl.Tiling.tk) + !kk) * dim));
+                 cols = condense_len cols;
+                 rows = rows_of gi;
+               },
+               0 ));
+        kk := !kk + w
+      done
+    done;
+    (* Load the B tile. *)
+    for kk = 0 to vk - 1 do
+      let gk = (k0 * tl.Tiling.tk) + kk in
+      let jj = ref 0 in
+      while !jj < vj do
+        let w = min max_block_len (vj - !jj) in
+        let gj = (j0 * tl.Tiling.tj) + !jj in
+        let cols = min (w * dim) (n - (gj * dim)) in
+        emit
+          (Isa.Mvin
+             ( {
+                 Isa.dram_addr = b + (gk * dim * b_stride) + (gj * dim);
+                 local = L.scratchpad ~row:(b_base parity + (((kk * tl.Tiling.tj) + !jj) * dim));
+                 cols;
+                 rows = kcols_of gk;
+               },
+               1 ));
+        jj := !jj + w
+      done
+    done;
+    (* Compute: keep each B block stationary across the I dimension. *)
+    for kk = 0 to vk - 1 do
+      let gk = (k0 * tl.Tiling.tk) + kk in
+      for jj = 0 to vj - 1 do
+        let gj = (j0 * tl.Tiling.tj) + jj in
+        let b_local =
+          L.scratchpad ~row:(b_base parity + (((kk * tl.Tiling.tj) + jj) * dim))
+        in
+        for ii = 0 to vi - 1 do
+          let gi = (i0 * tl.Tiling.ti) + ii in
+          let first_of_b = ii = 0 in
+          let accumulate =
+            Option.is_some bias || Option.is_some bias_column || k0 > 0 || kk > 0
+          in
+          let c_la = L.accumulator ~accumulate ~row:(c_base ii jj) () in
+          emit
+            (Isa.Preload
+               {
+                 b = (if first_of_b then b_local else L.garbage);
+                 c = c_la;
+                 b_rows = kcols_of gk;
+                 b_cols = ncols_of gj;
+                 c_rows = rows_of gi;
+                 c_cols = ncols_of gj;
+               });
+          let args =
+            {
+              Isa.a =
+                L.scratchpad ~row:(a_base parity + (((ii * tl.Tiling.tk) + kk) * dim));
+              bd = L.garbage;
+              a_cols = kcols_of gk;
+              a_rows = rows_of gi;
+              bd_cols = ncols_of gj;
+              bd_rows = rows_of gi;
+            }
+          in
+          emit
+            (if first_of_b then Isa.Compute_preloaded args
+             else Isa.Compute_accumulated args)
         done
-      done;
-      (* Drain the C tile. *)
+      done
+    done;
+    (* Drain the C tile after its last K step. *)
+    if k0 = nk - 1 then
       for ii = 0 to vi - 1 do
         for jj = 0 to vj - 1 do
           let gi = (i0 * tl.Tiling.ti) + ii and gj = (j0 * tl.Tiling.tj) + jj in
@@ -208,10 +230,18 @@ let matmul_ops p ?tiling ?schedule ?bias ?bias_column
                  rows = rows_of gi;
                })
         done
-      done
-    done
-  done;
-  List.rev !ops
+      done;
+    List.rev !ops
+  in
+  Seq.cons config (Seq.init (ni * nj * nk) step_ops)
+
+let matmul_ops p ?tiling ?schedule ?bias ?bias_column ?act ?scale ?a_row_stride
+    ?b_row_stride ?c_row_stride ?a_condense ~a ~b ~out ~m ~k ~n () =
+  List.concat
+    (List.of_seq
+       (matmul_tiles p ?tiling ?schedule ?bias ?bias_column ?act ?scale
+          ?a_row_stride ?b_row_stride ?c_row_stride ?a_condense ~a ~b ~out ~m
+          ~k ~n ()))
 
 let matmul_loop_ws_ops p ?bias ?(act = Peripheral.No_activation) ?(scale = 1.0)
     ~a ~b ~out ~m ~k ~n () =
@@ -367,7 +397,7 @@ let host_elementwise_ops ~cpu ~elems ~tag =
 
 (* --- convolution ------------------------------------------------------------ *)
 
-let conv_ops p ~cpu ~im2col ?bias ?(scale = 1.0) ~input ~weights ~out ~spec
+let conv_tiles p ~cpu ~im2col ?bias ?(scale = 1.0) ~input ~weights ~out ~spec
     ~patch_scratch () =
   let open Gem_dnn.Layer in
   let oh, ow = conv_out_dims spec in
@@ -392,7 +422,7 @@ let conv_ops p ~cpu ~im2col ?bias ?(scale = 1.0) ~input ~weights ~out ~spec
           ]
       | Im2col_on_accel | Im2col_preexpanded _ -> []
     in
-    let channel_ops ch =
+    let channel_tiles ch =
       let a_va, a_condense, a_stride =
         match im2col with
         | Im2col_on_cpu -> (patch_scratch + (ch * per_channel_patch), 1.0, k)
@@ -403,27 +433,32 @@ let conv_ops p ~cpu ~im2col ?bias ?(scale = 1.0) ~input ~weights ~out ~spec
             in
             (input + (ch * spec.in_h * spec.in_w / max 1 spec.in_ch), min 1.0 ratio, k)
       in
-      matmul_ops p
+      matmul_tiles p
         ?bias:(Option.map (fun b -> b + (4 * ch)) bias)
         ~act ~scale ~a_row_stride:a_stride ~a_condense ~a:a_va
         ~b:(weights + (ch * k))
         ~out:(out + ch) ~c_row_stride:spec.in_ch (* NHWC channel-strided output *)
         ~m ~k ~n:1 ()
     in
-    host @ List.concat (List.init spec.in_ch channel_ops)
+    let channels = Seq.concat_map channel_tiles (Seq.init spec.in_ch Fun.id) in
+    match host with [] -> channels | _ -> Seq.cons host channels
   end
   else begin
     let m = oh * ow and k = spec.kernel * spec.kernel * spec.in_ch and n = spec.out_ch in
     match im2col with
     | Im2col_on_cpu ->
-        Gem_soc.Soc.Host_work
-          {
-            cycles = Gem_cpu.Cpu_model.im2col_cycles cpu ~patch_elems:(m * k);
-            tag = "im2col(cpu)";
-          }
-        :: matmul_ops p ?bias ~act ~scale ~a:patch_scratch ~b:weights ~out ~m ~k ~n ()
+        Seq.cons
+          [
+            Gem_soc.Soc.Host_work
+              {
+                cycles = Gem_cpu.Cpu_model.im2col_cycles cpu ~patch_elems:(m * k);
+                tag = "im2col(cpu)";
+              };
+          ]
+          (matmul_tiles p ?bias ~act ~scale ~a:patch_scratch ~b:weights ~out ~m
+             ~k ~n ())
     | Im2col_preexpanded va ->
-        matmul_ops p ?bias ~act ~scale ~a:va ~b:weights ~out ~m ~k ~n ()
+        matmul_tiles p ?bias ~act ~scale ~a:va ~b:weights ~out ~m ~k ~n ()
     | Im2col_on_accel ->
         if not p.Params.has_im2col then
           invalid_arg "Kernels.conv: accelerator has no im2col block";
@@ -432,6 +467,6 @@ let conv_ops p ~cpu ~im2col ?bias ?(scale = 1.0) ~input ~weights ~out ~spec
         let ratio =
           float_of_int (spec.in_h * spec.in_w * spec.in_ch) /. float_of_int (m * k)
         in
-        matmul_ops p ?bias ~act ~scale ~a:input ~a_condense:(min 1.0 ratio) ~m ~k ~n
-          ~b:weights ~out ()
+        matmul_tiles p ?bias ~act ~scale ~a:input ~a_condense:(min 1.0 ratio) ~m
+          ~k ~n ~b:weights ~out ()
   end

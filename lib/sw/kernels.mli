@@ -45,6 +45,38 @@ val matmul_ops :
     the A-side fetch footprint to model the on-the-fly im2col unit
     reading the raw input instead of the expanded patch matrix. *)
 
+val matmul_tiles :
+  Gemmini.Params.t ->
+  ?tiling:Tiling.t ->
+  ?schedule:Schedule.t ->
+  ?bias:int ->
+  ?bias_column:int ->
+  ?act:Gemmini.Peripheral.activation ->
+  ?scale:float ->
+  ?a_row_stride:int ->
+  ?b_row_stride:int ->
+  ?c_row_stride:int ->
+  ?a_condense:float ->
+  a:int ->
+  b:int ->
+  out:int ->
+  m:int ->
+  k:int ->
+  n:int ->
+  unit ->
+  op list Seq.t
+(** The command stream of {!matmul_ops}, generated lazily: the
+    configuration commands, then one list per K step of each output tile
+    (its loads and computes, with the tile's bias staging before the
+    first step and its drain after the last), each built only when the
+    consumer reaches it. Argument checks and the schedule choice run at
+    the call. A layer's op list is never held whole, so the commands die
+    young instead of being promoted with the layer. *)
+
+val flatten : op list Seq.t -> op Seq.t
+(** One stream node per op over a stream of op lists; the lists are
+    forced one at a time as the consumer advances. *)
+
 val matmul_loop_ws_ops :
   Gemmini.Params.t ->
   ?bias:int ->
@@ -69,7 +101,7 @@ type conv_im2col =
   | Im2col_preexpanded of int
       (** patch matrix already at this VA (functional-mode path) *)
 
-val conv_ops :
+val conv_tiles :
   Gemmini.Params.t ->
   cpu:Gem_cpu.Cpu_model.kind ->
   im2col:conv_im2col ->
@@ -81,8 +113,9 @@ val conv_ops :
   spec:Gem_dnn.Layer.conv_spec ->
   patch_scratch:int ->
   unit ->
-  op list
-(** Convolution as im2col + tiled matmul. [patch_scratch] is the VA of
+  op list Seq.t
+(** Convolution as im2col + tiled matmul, generated lazily like
+    {!matmul_tiles}; no list in the stream is empty. [patch_scratch] is the VA of
     the reusable patch-matrix buffer (used by the CPU path). Depthwise
     convolutions lower to per-channel skinny matmuls (poor array
     utilization — the MobileNetV2 effect). *)

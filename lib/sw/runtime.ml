@@ -301,42 +301,56 @@ let span_close_marker ~name time_of =
         ~component:(Gemmini.Controller.host_component ctrl)
         ~time:(time_of ctrl) name)
 
+(* --- per-layer emission ------------------------------------------------------ *)
+
+(* Lowering emits a stream of op lists ("chunks": a kernel's
+   configuration, one K step of an output tile, a layer's boundary
+   markers), generated as the dispatch loop reaches them and flattened
+   once per network by {!Kernels.flatten}. No list in a stream is empty. *)
+let chunk = function [] -> Seq.empty | ops -> Seq.return ops
+
 (* A kernel span opens at the issue cursor (dispatch of the kernel's first
    command) and closes at the finish horizon once its commands retire. *)
-let kernel_span name = function
-  | [] -> []
-  | ops ->
-      (span_open_marker ~cat:"kernel" ~name Gemmini.Controller.now :: ops)
-      @ [ span_close_marker ~name Gemmini.Controller.finish_time ]
-
-(* --- per-layer emission ------------------------------------------------------ *)
+let kernel_span name chunks () =
+  match chunks () with
+  | Seq.Nil -> Seq.Nil
+  | Seq.Cons (first, rest) ->
+      Seq.Cons
+        ( span_open_marker ~cat:"kernel" ~name Gemmini.Controller.now :: first,
+          Seq.append rest
+            (Seq.return
+               [ span_close_marker ~name Gemmini.Controller.finish_time ]) )
 
 let layer_ops soc core tensors ~mode ~functional ~idx ~input_va layer =
   let params = Gemmini.Controller.params (Soc.controller core) in
   let cpu = Soc.cpu core in
   let out_va = tensors.t_out.(idx) in
-  let marker f = [ Soc.Marker f ] in
+  let marker f = Seq.return [ Soc.Marker f ] in
   match (mode, layer) with
   | Cpu_only, l ->
-      [ Soc.Host_work { cycles = cpu_layer_cycles cpu l; tag = "cpu-layer" } ]
+      Seq.return
+        [ Soc.Host_work { cycles = cpu_layer_cycles cpu l; tag = "cpu-layer" } ]
   | Accel _, Layer.Elementwise { e_elems; e_name } ->
-      (if functional then
-         (* Host ops are identity passes in the functional model. *)
-         marker (fun core ->
-             let data = Soc.host_read_i8 soc core ~vaddr:input_va ~n:e_elems in
-             Soc.host_write_i8 soc core ~vaddr:out_va data)
-       else [])
-      @ kernel_span e_name
-          (Kernels.host_elementwise_ops ~cpu ~elems:e_elems ~tag:e_name)
+      Seq.append
+        (if functional then
+           (* Host ops are identity passes in the functional model. *)
+           marker (fun core ->
+               let data = Soc.host_read_i8 soc core ~vaddr:input_va ~n:e_elems in
+               Soc.host_write_i8 soc core ~vaddr:out_va data)
+         else Seq.empty)
+        (kernel_span e_name
+           (chunk (Kernels.host_elementwise_ops ~cpu ~elems:e_elems ~tag:e_name)))
   | Accel _, Layer.Global_avg_pool { g_h; g_w; g_ch } ->
-      (if functional then
-         marker (fun core ->
-             let t = read_tensor soc core ~vaddr:input_va ~shape:[| 1; g_h; g_w; g_ch |] in
-             write_tensor soc core ~vaddr:out_va (Gemmini.Peripheral.avg_pool_global t))
-       else [])
-      @ kernel_span "gap"
-          (Kernels.host_elementwise_ops ~cpu ~elems:(g_h * g_w * g_ch)
-             ~tag:"gap")
+      Seq.append
+        (if functional then
+           marker (fun core ->
+               let t = read_tensor soc core ~vaddr:input_va ~shape:[| 1; g_h; g_w; g_ch |] in
+               write_tensor soc core ~vaddr:out_va (Gemmini.Peripheral.avg_pool_global t))
+         else Seq.empty)
+        (kernel_span "gap"
+           (chunk
+              (Kernels.host_elementwise_ops ~cpu ~elems:(g_h * g_w * g_ch)
+                 ~tag:"gap")))
   | Accel _, Layer.Max_pool p ->
       if functional then
         marker (fun core ->
@@ -351,17 +365,19 @@ let layer_ops soc core tensors ~mode ~functional ~idx ~input_va layer =
             write_tensor soc core ~vaddr:out_va pooled)
       else
         kernel_span "maxpool"
-          (Kernels.maxpool_ops params ~cpu ~input:input_va ~out:out_va ~spec:p
-             ())
+          (chunk
+             (Kernels.maxpool_ops params ~cpu ~input:input_va ~out:out_va
+                ~spec:p ()))
   | Accel _, Layer.Residual_add { r_h; r_w; r_ch; back1; back2 } ->
       let operand back =
         let j = idx - back in
         if j < 0 then tensors.t_input else tensors.t_out.(j)
       in
       kernel_span "resadd"
-        (Kernels.resadd_ops params ~x:(operand back1) ~y:(operand back2)
-           ~out:out_va
-           ~elems:(r_h * r_w * r_ch) ())
+        (chunk
+           (Kernels.resadd_ops params ~x:(operand back1) ~y:(operand back2)
+              ~out:out_va
+              ~elems:(r_h * r_w * r_ch) ()))
   | Accel { im2col_on_accel }, Layer.Conv spec ->
       let patch_va = tensors.t_patch.(idx) in
       let prep =
@@ -397,7 +413,7 @@ let layer_ops soc core tensors ~mode ~functional ~idx ~input_va layer =
                 let flat = Array.concat (Array.to_list patch) in
                 Soc.host_write_i8 soc core ~vaddr:patch_va flat
               end)
-        else []
+        else Seq.empty
       in
       let im2col : Kernels.conv_im2col =
         match
@@ -408,11 +424,11 @@ let layer_ops soc core tensors ~mode ~functional ~idx ~input_va layer =
         | Lower.Im_accel -> Kernels.Im2col_on_accel
         | Lower.Im_cpu -> Kernels.Im2col_on_cpu
       in
-      prep
-      @ kernel_span "conv"
-          (Kernels.conv_ops params ~cpu ~im2col ~bias:(tensors.t_bias.(idx))
-             ~scale:out_scale ~input:input_va ~weights:(tensors.t_weights.(idx))
-             ~out:out_va ~spec ~patch_scratch:tensors.t_patch.(idx) ())
+      Seq.append prep
+        (kernel_span "conv"
+           (Kernels.conv_tiles params ~cpu ~im2col ~bias:(tensors.t_bias.(idx))
+              ~scale:out_scale ~input:input_va ~weights:(tensors.t_weights.(idx))
+              ~out:out_va ~spec ~patch_scratch:tensors.t_patch.(idx) ()))
   | Accel _, Layer.Matmul mm ->
       let act =
         if mm.Layer.relu then Gemmini.Peripheral.Relu
@@ -430,7 +446,7 @@ let layer_ops soc core tensors ~mode ~functional ~idx ~input_va layer =
              block row sees its own bias word. For the swapped layout the
              bias is added via a host-free accumulate mvin of the bias
              vector reinterpreted column-wise. *)
-          Kernels.matmul_ops params
+          Kernels.matmul_tiles params
             ~bias_column:(tensors.t_bias.(idx) + (4 * mm.Layer.n * i))
             ~act ~scale:out_scale
             ~a:(tensors.t_weights.(idx) + (i * mm.Layer.k * mm.Layer.n))
@@ -438,7 +454,7 @@ let layer_ops soc core tensors ~mode ~functional ~idx ~input_va layer =
             ~out:(out_va + (i * mm.Layer.m * mm.Layer.n))
             ~m:mm.Layer.n ~k:mm.Layer.k ~n:1 ()
         else
-          Kernels.matmul_ops params
+          Kernels.matmul_tiles params
             ~bias:(tensors.t_bias.(idx) + (4 * mm.Layer.n * i))
             ~act ~scale:out_scale
             ~a:(input_va + (i * mm.Layer.m * mm.Layer.k))
@@ -446,7 +462,25 @@ let layer_ops soc core tensors ~mode ~functional ~idx ~input_va layer =
             ~out:(out_va + (i * mm.Layer.m * mm.Layer.n))
             ~m:mm.Layer.m ~k:mm.Layer.k ~n:mm.Layer.n ()
       in
-      List.concat (List.init mm.Layer.count instance)
+      Seq.concat_map instance (Seq.init mm.Layer.count Fun.id)
+
+(* Lowering runs as the dispatch loop pulls chunks, between dispatches, so
+   the profiler's lowering scope wraps the generation of each chunk (one
+   K step of an output tile, say) rather than the call that builds the
+   stream. *)
+let rec timed_chunks chunks () =
+  let node =
+    if !P.on then begin
+      P.enter P.lowering;
+      let node = chunks () in
+      P.leave P.lowering;
+      node
+    end
+    else chunks ()
+  in
+  match node with
+  | Seq.Nil -> Seq.Nil
+  | Seq.Cons (ops, rest) -> Seq.Cons (ops, timed_chunks rest)
 
 (* Emission over pre-allocated tensors: the shared core of one-shot plans
    ([plan_ops_with] allocates then emits) and serving re-entry
@@ -461,7 +495,7 @@ let network_ops ?(start_layer = 0) ?(resume_finish = 0) ?(rebase = false)
   let layers = Array.of_list model.Layer.layers in
   let cpu = Soc.cpu core in
   let last_finish = ref resume_finish in
-  let emit_layer_quiet idx =
+  let emit_layer idx =
     let name, layer = layers.(idx) in
     let input_va = if idx = 0 then tensors.t_input else tensors.t_out.(idx - 1) in
     let ops = layer_ops soc core tensors ~mode ~functional ~idx ~input_va layer in
@@ -495,9 +529,10 @@ let network_ops ?(start_layer = 0) ?(resume_finish = 0) ?(rebase = false)
           | None -> ()
           | Some cb -> cb ~layer:idx ~records:(List.rev !records) ~finish:f)
     in
-    let ops = ops @ [ Kernels.fence ] in
     match guard with
-    | None -> (layer_open :: ops) @ [ finish_marker ]
+    | None ->
+        Seq.cons [ layer_open ]
+          (Seq.append ops (Seq.return [ Kernels.fence; finish_marker ]))
     | Some g ->
         (* Guarded stream: a begin marker arms the per-layer recovery
            state, and every op routes through [guarded_exec]. Plan-level
@@ -524,50 +559,42 @@ let network_ops ?(start_layer = 0) ?(resume_finish = 0) ?(rebase = false)
               Soc.Guarded
                 { op; run = (fun core -> guarded_exec soc g core op) }
         in
-        (layer_open :: begin_marker :: List.map wrap ops) @ [ finish_marker ]
-  in
-  (* Lowering is forced lazily between dispatches (Seq consumption), so
-     it sits outside the soc.dispatch probe and needs its own. *)
-  let emit_layer idx =
-    if !P.on then begin
-      P.enter P.lowering;
-      let ops = emit_layer_quiet idx in
-      P.leave P.lowering;
-      ops
-    end
-    else emit_layer_quiet idx
+        Seq.cons [ layer_open; begin_marker ]
+          (Seq.append
+             (Seq.map (List.map wrap) ops)
+             (Seq.return [ wrap Kernels.fence; finish_marker ]))
   in
   let n = Array.length layers in
   let net_name = model.Layer.model_name in
   let body =
-    Seq.concat_map
-      (fun idx -> List.to_seq (emit_layer idx))
-      (Seq.init (max 0 (n - start_layer)) (fun i -> start_layer + i))
+    timed_chunks
+      (Seq.concat_map emit_layer
+         (Seq.init (max 0 (n - start_layer)) (fun i -> start_layer + i)))
   in
   (* The whole program sits under one network-level span. A resumed run
      does not re-open it: the open event is already in the restored trace
      ring, so re-emitting would double it and break byte-identity. *)
   let head =
     if start_layer = 0 then
-      Seq.return
-        (span_open_marker ~cat:"network" ~name:net_name
-           Gemmini.Controller.finish_time)
-    else Seq.empty
+      [
+        span_open_marker ~cat:"network" ~name:net_name
+          Gemmini.Controller.finish_time;
+      ]
+    else []
   in
   let head =
     if rebase then
-      Seq.cons
-        (Soc.Marker
-           (fun core ->
-             last_finish :=
-               Gemmini.Controller.finish_time (Soc.controller core)))
-        head
+      Soc.Marker
+        (fun core ->
+          last_finish := Gemmini.Controller.finish_time (Soc.controller core))
+      :: head
     else head
   in
-  Seq.append head
-    (Seq.append body
-       (Seq.return
-          (span_close_marker ~name:net_name Gemmini.Controller.finish_time)))
+  Kernels.flatten
+    (Seq.append (chunk head)
+       (Seq.append body
+          (Seq.return
+             [ span_close_marker ~name:net_name Gemmini.Controller.finish_time ])))
 
 let plan_ops_with ?start_layer ?resume_finish ?on_layer soc core model ~mode
     ~records ~guard =
@@ -831,11 +858,10 @@ let run_functional soc ~core:core_idx model ~input ~seed =
               :: !records;
             last_finish := f)
       in
-      ops @ [ Kernels.fence; finish_marker ]
+      Seq.append ops (Seq.return [ Kernels.fence; finish_marker ])
     in
-    Seq.concat_map
-      (fun idx -> List.to_seq (emit_layer idx))
-      (Seq.init (Array.length layers) (fun i -> i))
+    Kernels.flatten
+      (Seq.concat_map emit_layer (Seq.init (Array.length layers) Fun.id))
   in
   let tensors = Option.get !tensors_ref in
   write_weights soc core tensors ~seed model;

@@ -84,8 +84,9 @@ val plan_ops :
   records:layer_record list ref ->
   Kernels.op Seq.t
 (** Lazily-produced command stream for one inference. Tensor allocation
-    happens immediately; per-layer ops materialize as the stream is
-    consumed. *)
+    happens immediately; ops are generated a kernel step at a time (one
+    K step of one output tile for GEMMs) as the stream is consumed, so no
+    layer's command list is ever held whole. *)
 
 (* Serving re-entry: one allocation, many inferences. *)
 

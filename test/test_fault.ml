@@ -110,6 +110,164 @@ let test_validate_edges () =
   check_ok "fence" Isa.Fence;
   check_ok "flush" Isa.Flush
 
+(* --- Isa.validate error order ------------------------------------------------
+
+   Each command below carries two bad fields (or one, to pin a message
+   that is reached only after every range check). The validator reports
+   the first failing check in a fixed per-command order, and a trap's
+   cause is what recovery policies and fault reports see, so the table
+   pins the exact error for each case. *)
+
+module L = Local_addr
+
+let sp_rows = Gemmini.Params.sp_rows p
+let acc_rows = Gemmini.Params.acc_rows p
+let none = Gemmini.Peripheral.No_activation
+let sp row = L.scratchpad ~row
+let acc row = L.accumulator ~row ()
+let mv ?(dram = 0) ?(local = sp 0) ?(cols = 16) ?(rows = 16) () =
+  { Isa.dram_addr = dram; local; cols; rows }
+let preload ?(b = sp 0) ?(c = acc 0) ?(b_cols = 16) ?(b_rows = 16) ?(c_cols = 16) ?(c_rows = 16) () =
+  Isa.Preload { b; c; b_cols; b_rows; c_cols; c_rows }
+let compute ?(a = sp 0) ?(bd = L.garbage) ?(a_cols = 16) ?(a_rows = 16) ?(bd_cols = 16) ?(bd_rows = 16) () =
+  Isa.Compute_preloaded { Isa.a; bd; a_cols; a_rows; bd_cols; bd_rows }
+let st ?(stride = 16) ?(scale = 1.0) ?pool () =
+  Isa.Config_st { st_stride_bytes = stride; st_activation = none; st_scale = scale; st_pool = pool }
+let pool ?(window = 2) ?(stride = 2) ?(padding = 0) () = { Isa.window; stride; padding }
+let lw ?(a = 16) ?(b = 16) ?(c = 16) ?(scale = 1.0) () =
+  Isa.Loop_ws { lw_a_stride = a; lw_b_stride = b; lw_c_stride = c; lw_scale = scale }
+
+let validate_order_table =
+  [
+    ("config_ex shift+dataflow",
+     { p with Gemmini.Params.dataflow = Gemmini.Dataflow.WS },
+     Isa.Config_ex { dataflow = `OS; activation = none; sys_shift = 64; a_transpose = false; b_transpose = false },
+     "illegal-inst: sys_shift = 64 out of range [0, 63]");
+    ("config_ex dataflow", { p with Gemmini.Params.dataflow = Gemmini.Dataflow.WS },
+     Isa.Config_ex { dataflow = `OS; activation = none; sys_shift = 63; a_transpose = false; b_transpose = false },
+     "illegal-inst: dataflow OS not supported by this instance (WS)");
+    ("config_ld scale", p,
+     Isa.Config_ld { ld_stride_bytes = 0; ld_scale = Float.neg_infinity; ld_shrunk = false; ld_id = 2 },
+     "acc-overflow: non-finite scale -inf");
+    ("config_ld id+stride", p,
+     Isa.Config_ld { ld_stride_bytes = -1; ld_scale = 1.0; ld_shrunk = false; ld_id = 3 },
+     "illegal-inst: ld_id = 3 out of range [0, 2]");
+    ("config_ld stride+scale", p,
+     Isa.Config_ld { ld_stride_bytes = 1 lsl 32; ld_scale = Float.nan; ld_shrunk = false; ld_id = 0 },
+     "illegal-inst: ld_stride = 4294967296 out of range [0, 4294967295]");
+    ("config_st stride+pool", p, st ~stride:(-1) ~pool:(pool ~window:0 ()) (),
+     "illegal-inst: st_stride = -1 out of range [0, 4294967295]");
+    ("config_st window+stride", p, st ~pool:(pool ~window:16 ~stride:0 ()) (),
+     "illegal-inst: pool window = 16 out of range [1, 15]");
+    ("config_st padding+scale", p, st ~scale:Float.infinity ~pool:(pool ~padding:16 ()) (),
+     "illegal-inst: pool padding = 16 out of range [0, 15]");
+    ("mvin id+dram", p, Isa.Mvin (mv ~dram:(-1) (), 3),
+     "illegal-inst: mvin id = 3 out of range [0, 2]");
+    ("mvin dram+cols", p, Isa.Mvin (mv ~dram:(1 lsl 48) ~cols:0 (), 0),
+     "illegal-inst: dram_addr = 281474976710656 out of range [0, 281474976710655]");
+    ("mvin cols+rows", p, Isa.Mvin (mv ~cols:65 ~rows:0 (), 1),
+     "illegal-inst: mvin cols = 65 out of range [1, 64]");
+    ("mvin rows+garbage", p, Isa.Mvin (mv ~rows:17 ~local:L.garbage (), 0),
+     "illegal-inst: mvin rows = 17 out of range [1, 16]");
+    ("mvin garbage+extent", p, Isa.Mvin (mv ~local:L.garbage ~cols:64 (), 0),
+     "illegal-inst: mvin destination is the garbage address");
+    ("mvin accumulate-flag+extent", p,
+     Isa.Mvin (mv ~local:(L.of_bits (L.to_bits (sp (sp_rows - 1)) lor (1 lsl 30))) (), 0),
+     "illegal-inst: mvin accumulate flag on a scratchpad destination");
+    ("mvin extent sp", p, Isa.Mvin (mv ~local:(sp (sp_rows - 40)) ~cols:64 (), 0),
+     "local-oob: scratchpad rows [16344, 16408) exceed 16384 rows");
+    ("mvin extent acc", p, Isa.Mvin (mv ~local:(acc (acc_rows - 8)) (), 2),
+     "local-oob: accumulator rows [1016, 1032) exceed 1024 rows");
+    ("mvout dram+cols", p, Isa.Mvout (mv ~dram:(-5) ~cols:17 ()),
+     "illegal-inst: dram_addr = -5 out of range [0, 281474976710655]");
+    ("mvout cols+rows", p, Isa.Mvout (mv ~cols:0 ~rows:17 ()),
+     "illegal-inst: mvout cols = 0 out of range [1, 16]");
+    ("mvout rows+garbage", p, Isa.Mvout (mv ~rows:0 ~local:L.garbage ()),
+     "illegal-inst: mvout rows = 0 out of range [1, 16]");
+    ("mvout garbage+cols-ok", p, Isa.Mvout (mv ~local:L.garbage ()),
+     "illegal-inst: mvout source is the garbage address");
+    ("mvout extent", p, Isa.Mvout (mv ~local:(acc (acc_rows - 1)) ()),
+     "local-oob: accumulator rows [1023, 1039) exceed 1024 rows");
+    ("preload b_cols+b_rows", p, preload ~b_cols:0 ~b_rows:17 (),
+     "illegal-inst: preload b_cols = 0 out of range [1, 16]");
+    ("preload b_rows+c_cols", p, preload ~b_rows:0 ~c_cols:17 (),
+     "illegal-inst: preload b_rows = 0 out of range [1, 16]");
+    ("preload c_cols+c_rows", p, preload ~c_cols:0 ~c_rows:0 (),
+     "illegal-inst: preload c_cols = 0 out of range [1, 16]");
+    ("preload c_rows+b extent", p, preload ~c_rows:17 ~b:(sp sp_rows) (),
+     "illegal-inst: preload c_rows = 17 out of range [1, 16]");
+    ("preload b extent+c extent", p, preload ~b:(sp (sp_rows - 1)) ~c:(acc acc_rows) (),
+     "local-oob: scratchpad rows [16383, 16399) exceed 16384 rows");
+    ("preload c extent", p, preload ~b:L.garbage ~c:(acc (acc_rows - 2)) (),
+     "local-oob: accumulator rows [1022, 1038) exceed 1024 rows");
+    ("compute a_cols+a_rows", p, compute ~a_cols:0 ~a_rows:0 (),
+     "illegal-inst: compute a_cols = 0 out of range [1, 65535]");
+    ("compute a_rows+bd_cols", p, compute ~a_rows:0x10000 ~bd_cols:0 (),
+     "illegal-inst: compute a_rows = 65536 out of range [1, 65535]");
+    ("compute bd_cols+bd_rows", p, compute ~bd_cols:0x10000 ~bd_rows:0 (),
+     "illegal-inst: compute bd_cols = 65536 out of range [1, 65535]");
+    ("compute bd_rows+a extent", p, compute ~bd_rows:0 ~a:(sp sp_rows) (),
+     "illegal-inst: compute bd_rows = 0 out of range [1, 65535]");
+    ("compute a extent+bd extent", p, compute ~a:(sp (sp_rows - 1)) ~bd:(acc acc_rows) (),
+     "local-oob: scratchpad rows [16383, 16399) exceed 16384 rows");
+    ("compute bd extent", p,
+     Isa.Compute_accumulated { Isa.a = L.garbage; bd = acc (acc_rows - 3); a_cols = 1; a_rows = 1; bd_cols = 16; bd_rows = 64 },
+     "local-oob: accumulator rows [1021, 1037) exceed 1024 rows");
+    ("loop bounds m+k", p,
+     Isa.Loop_ws_bounds { lw_m = 0; lw_k = 0x10000; lw_n = 1; lw_has_bias = false; lw_activation = none },
+     "illegal-inst: loop m = 0 out of range [1, 65535]");
+    ("loop bounds k+n", p,
+     Isa.Loop_ws_bounds { lw_m = 1; lw_k = 0; lw_n = 0; lw_has_bias = true; lw_activation = none },
+     "illegal-inst: loop k = 0 out of range [1, 65535]");
+    ("loop addrs a+b", p, Isa.Loop_ws_addrs { lw_a = -1; lw_b = 1 lsl 48 },
+     "illegal-inst: loop a = -1 out of range [0, 281474976710655]");
+    ("loop outs bias+c", p, Isa.Loop_ws_outs { lw_bias = 1 lsl 48; lw_c = -1 },
+     "illegal-inst: loop bias = 281474976710656 out of range [0, 281474976710655]");
+    ("loop strides a+b", p, lw ~a:(-1) ~b:0x100_0000 (),
+     "illegal-inst: a stride = -1 out of range [0, 16777215]");
+    ("loop strides b+c", p, lw ~b:(-1) ~c:(-1) (),
+     "illegal-inst: b stride = -1 out of range [0, 16777215]");
+    ("loop strides c+scale", p, lw ~c:0x100_0000 ~scale:Float.nan (),
+     "illegal-inst: c stride = 16777216 out of range [0, 16777215]");
+  ]
+
+let test_validate_error_order () =
+  List.iter
+    (fun (name, p, cmd, expect) ->
+      let got =
+        match Isa.validate p cmd with
+        | Ok () -> "ok"
+        | Error c -> Fault.cause_label c ^ ": " ^ Fault.cause_detail c
+      in
+      Alcotest.(check string) name expect got)
+    validate_order_table
+
+let test_params_error_order () =
+  let bad =
+    {
+      p with
+      Gemmini.Params.mesh_rows = 4;
+      tile_cols = 2;
+      acc_type = Gemmini.Dtype.Fp32;
+      sp_banks = 3;
+      dma_bus_bytes = 0;
+      freq_ghz = 0.;
+    }
+  in
+  let got =
+    match Gemmini.Params.validate bad with Ok () -> [] | Error es -> es
+  in
+  Alcotest.(check (list string)) "every failing check, in order"
+    [
+      "spatial array must be square, got 4x32";
+      "accumulator type fp32 cannot accumulate int8 inputs";
+      "scratchpad bank count must be a power of two";
+      "scratchpad capacity must divide evenly into banked rows";
+      "DMA bus width must be positive";
+      "clock frequency must be positive";
+    ]
+    got
+
 (* --- fuzz: malformed streams only ever trap -------------------------------- *)
 
 let random_local rng =
@@ -500,6 +658,10 @@ let suite =
     Alcotest.test_case "PTW: faulting walk leaves walker free" `Quick
       test_ptw_fault_no_occupancy;
     Alcotest.test_case "Isa.validate edges" `Quick test_validate_edges;
+    Alcotest.test_case "Isa.validate error order" `Quick
+      test_validate_error_order;
+    Alcotest.test_case "Params.validate error order" `Quick
+      test_params_error_order;
     Alcotest.test_case "fuzz: 1000 malformed streams only trap" `Quick
       test_fuzz_streams;
     Alcotest.test_case "Retry_map completes ResNet with unmapped pages" `Quick

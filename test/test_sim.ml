@@ -338,6 +338,170 @@ let test_alloc_constant_dma_transfer () =
   Alcotest.(check bool) "per-transfer bytes are one small record" true
     (one <= 64.)
 
+let test_alloc_free_cache_access () =
+  (* 4 KiB, 2-way, 64 B lines: every other access revisits one of 16 hot
+     lines (hits); the rest stream through 1,024 others (misses, evicting
+     lines dirtied by earlier writes). *)
+  let c = Gem_mem.Cache.create ~size_bytes:4096 ~ways:2 ~line_bytes:64 () in
+  let access i =
+    let line = if i land 1 = 0 then i land 15 else 64 + ((i * 5) land 1023) in
+    ignore (Gem_mem.Cache.access c ~addr:(line * 64) ~write:(i mod 3 = 0))
+  in
+  for i = 0 to 999 do
+    access i
+  done;
+  let bytes =
+    measure_alloc (fun () ->
+        for i = 0 to 9_999 do
+          access i
+        done)
+  in
+  Alcotest.(check bool) "the loop both hits and misses" true
+    (Gem_mem.Cache.hits c > 0 && Gem_mem.Cache.misses c > 0
+    && Gem_mem.Cache.writebacks c > 0);
+  Alcotest.(check (float 0.)) "Cache.access allocates nothing" 0. bytes
+
+let test_alloc_constant_soc_mvin () =
+  (* The same timing-only mvin as above, but through a real SoC port: every
+     row walks the shared L2 (and DRAM on misses), so a per-line or
+     per-request allocation in the memory path shows up as bytes that grow
+     with the row count. The rows stay inside one page, so translation
+     stays on the filter-register hit path. *)
+  let soc = Soc.create Soc_config.default in
+  let core = Soc.core soc 0 in
+  let dma = Gemmini.Controller.dma (Soc.controller core) in
+  let vaddr = Soc.alloc soc core ~bytes:(64 * 1024) in
+  Alcotest.(check bool) "engine is quiet" false
+    (Engine.observing (Soc.engine soc));
+  let per_call rows =
+    ignore
+      (Gemmini.Dma.mvin dma ~now:0 ~vaddr ~stride_bytes:64 ~rows
+         ~row_bytes:64);
+    let iters = 1_000 in
+    let bytes =
+      measure_alloc (fun () ->
+          for i = 1 to iters do
+            ignore
+              (Gemmini.Dma.mvin dma ~now:(i * 100_000) ~vaddr
+                 ~stride_bytes:64 ~rows ~row_bytes:64)
+          done)
+    in
+    bytes /. float_of_int iters
+  in
+  let one = per_call 1 and many = per_call 32 in
+  Alcotest.(check (float 0.)) "per-transfer bytes independent of rows" one
+    many
+
+let test_alloc_controller_preload_compute () =
+  (* Timing mode: validation, the mesh cycle model and the execute pipe
+     allocate nothing, so a command costs at most the one preload-state
+     record that Preload (and a preloading compute) installs. *)
+  let soc = Soc.create Soc_config.default in
+  let ctrl = Soc.controller (Soc.core soc 0) in
+  let module Isa = Gemmini.Isa in
+  let module L = Gemmini.Local_addr in
+  Gemmini.Controller.execute ctrl
+    (Isa.Config_ex
+       {
+         dataflow = `WS;
+         activation = Gemmini.Peripheral.No_activation;
+         sys_shift = 0;
+         a_transpose = false;
+         b_transpose = false;
+       });
+  let block ~row =
+    {
+      Isa.a = L.scratchpad ~row;
+      bd = L.garbage;
+      a_cols = 16;
+      a_rows = 16;
+      bd_cols = 16;
+      bd_rows = 16;
+    }
+  in
+  let cmds =
+    [|
+      Isa.Preload
+        {
+          b = L.scratchpad ~row:256;
+          c = L.accumulator ~row:0 ();
+          b_cols = 16;
+          b_rows = 16;
+          c_cols = 16;
+          c_rows = 16;
+        };
+      Isa.Compute_preloaded (block ~row:0);
+      Isa.Compute_accumulated (block ~row:16);
+    |]
+  in
+  Array.iter (Gemmini.Controller.execute ctrl) cmds;
+  let iters = 1_000 in
+  let bytes =
+    measure_alloc (fun () ->
+        for _ = 1 to iters do
+          Array.iter (Gemmini.Controller.execute ctrl) cmds
+        done)
+  in
+  let per_cmd = bytes /. float_of_int (iters * Array.length cmds) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f B per command is at most one preload record" per_cmd)
+    true (per_cmd <= 80.)
+
+let test_alloc_validate_pass () =
+  (* Static checks re-run per command; passing ones cost nothing. *)
+  let p = Gemmini.Params.default in
+  let cmd =
+    Gemmini.Isa.Mvin
+      ( {
+          Gemmini.Isa.dram_addr = 0x1000;
+          local = Gemmini.Local_addr.scratchpad ~row:64;
+          cols = 64;
+          rows = 16;
+        },
+        1 )
+  in
+  let bytes =
+    measure_alloc (fun () ->
+        for _ = 1 to 1_000 do
+          ignore (Gemmini.Params.validate_exn p);
+          ignore (Gemmini.Isa.validate p cmd)
+        done)
+  in
+  Alcotest.(check (float 0.)) "passing validation allocates nothing" 0. bytes
+
+let test_lazy_matmul_lowering () =
+  (* A BERT-FFN-sized GEMM is 20+ MB of ops when materialised. The tiled
+     stream generates one K step of one output tile at a time, so reaching
+     its first 1,000 ops costs a small fraction of that. *)
+  let stream () =
+    Gem_sw.Kernels.flatten
+      (Gem_sw.Kernels.matmul_tiles Gemmini.Params.default ~a:0x10000
+         ~b:0x100000 ~out:0x1000000 ~m:128 ~k:3072 ~n:768 ())
+  in
+  let pulled = ref 0 in
+  let bytes =
+    measure_alloc (fun () ->
+        pulled := Seq.length (Seq.take 1_000 (stream ())))
+  in
+  Alcotest.(check int) "pulled 1000 ops" 1_000 !pulled;
+  Alcotest.(check bool)
+    (Printf.sprintf "first 1000 ops allocate %.0f B (< 1 MB)" bytes)
+    true (bytes < 1e6);
+  (* The lazy stream is the same program as the materialised list. *)
+  let ops =
+    Gem_sw.Kernels.matmul_ops Gemmini.Params.default ~a:0x10000 ~b:0x100000
+      ~out:0x1000000 ~m:128 ~k:3072 ~n:768 ()
+  in
+  Alcotest.(check int) "same length" (List.length ops)
+    (Seq.length (stream ()));
+  Alcotest.(check bool) "same ops" true
+    (Seq.for_all2
+       (fun a b ->
+         match (a, b) with
+         | Soc.Insn x, Soc.Insn y -> Gemmini.Isa.equal x y
+         | _ -> false)
+       (List.to_seq ops) (stream ()))
+
 (* --- determinism guard ----------------------------------------------------
 
    The fig7/fig9-style experiments rely on simulated-time interleaving of
@@ -401,6 +565,16 @@ let suite =
       test_alloc_free_engine_quiet;
     Alcotest.test_case "alloc-constant: timing-only DMA transfer" `Quick
       test_alloc_constant_dma_transfer;
+    Alcotest.test_case "alloc-free: Cache.access hits and misses" `Quick
+      test_alloc_free_cache_access;
+    Alcotest.test_case "alloc-constant: mvin through a SoC port" `Quick
+      test_alloc_constant_soc_mvin;
+    Alcotest.test_case "alloc: timing preload/compute commands" `Quick
+      test_alloc_controller_preload_compute;
+    Alcotest.test_case "alloc-free: passing validation" `Quick
+      test_alloc_validate_pass;
+    Alcotest.test_case "lowering: lazy matmul tile stream" `Quick
+      test_lazy_matmul_lowering;
     Alcotest.test_case "engine: dual-core determinism" `Quick
       test_dual_core_determinism;
   ]
