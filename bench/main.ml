@@ -374,9 +374,9 @@ let run_serving_bench () =
 
 (* Hot-path bench: wall time AND allocation per operation for the three
    flattened quiet paths (engine acquire, timing-only DMA transfer, the
-   multi-core dispatch loop), plus hard equality gates for the parallel
-   driver — a probed or multi-Domain run must report exactly the cycle
-   counts of the quiet sequential reference. The ns/op / bytes/op pairs
+   multi-core dispatch loop), plus a hard equality gate for the
+   self-profiler — a probed dual-core run must report exactly the cycle
+   counts of the quiet run. The ns/op / bytes/op pairs
    land in the ungated hotpath section of BENCH_results.json. *)
 let run_hotpath_bench () =
   timed "Hot path: ns/op and bytes/op (quiet event loop)" (fun () ->
@@ -429,7 +429,7 @@ let run_hotpath_bench () =
        measure "soc_dispatch" 50_000 (fun n ->
            let soc = Gem_soc.Soc.create Gem_soc.Soc_config.dual_core in
            ignore (Gem_soc.Soc.run_parallel soc [| ops (n / 2); ops (n / 2) |])));
-      (* Equality gates for the Domain-parallel driver. *)
+      (* Equality gate: probing never moves simulated time. *)
       let model =
         Gem_dnn.Model_zoo.scale_model ~factor:16 Gem_dnn.Model_zoo.squeezenet
       in
@@ -439,24 +439,21 @@ let run_hotpath_bench () =
           (model, Gem_sw.Runtime.Accel { im2col_on_accel = false });
         |]
       in
-      let cycles ?(domains = 1) ?(probed = false) () =
+      let cycles ~probed =
         let module P = Gem_obs.Profile in
         let soc = Gem_soc.Soc.create Gem_soc.Soc_config.dual_core in
         if probed then P.enable ();
         let rs =
           Fun.protect
             ~finally:(fun () -> if probed then P.disable ())
-            (fun () -> Gem_sw.Runtime.run_parallel ~domains soc jobs)
+            (fun () -> Gem_sw.Runtime.run_parallel soc jobs)
         in
         Array.map (fun r -> r.Gem_sw.Runtime.r_total_cycles) rs
       in
-      let reference = cycles () in
-      if cycles ~domains:4 () <> reference then
-        failwith "hotpath: domains=4 changed the parallel cycle counts";
-      if cycles ~domains:4 ~probed:true () <> reference then
+      let reference = cycles ~probed:false in
+      if cycles ~probed:true <> reference then
         failwith "hotpath: probed parallel run changed the cycle counts";
-      Printf.printf
-        "  parallel gates: domains=4 and probed runs match (%s / %s cycles)\n"
+      Printf.printf "  parallel gate: probed run matches (%s / %s cycles)\n"
         (Gem_util.Table.fmt_int reference.(0))
         (Gem_util.Table.fmt_int reference.(1)))
 

@@ -121,8 +121,27 @@ let model_term =
     & opt (conv (parse, print)) Gem_dnn.Model_zoo.resnet50
     & info [ "model" ] ~doc:"DNN to run (resnet50, alexnet, squeezenet1.1, mobilenetv2, bert-base-seq128).")
 
+(* Numeric flags whose out-of-range values would otherwise surface as
+   uncaught exceptions deep in the simulator: rejected at parse time,
+   they exit 124 with Cmdliner's usage message. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let probability =
+  let parse s =
+    match float_of_string_opt s with
+    | Some p when p >= 0. && p <= 1. -> Ok p
+    | _ -> Error (`Msg (Printf.sprintf "expected a probability in [0, 1], got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let scale_term =
-  Arg.(value & opt int 1 & info [ "scale" ] ~doc:"Channel-scale divisor for faster runs.")
+  Arg.(value & opt pos_int 1 & info [ "scale" ] ~doc:"Channel-scale divisor for faster runs.")
 
 (* --- subcommands --------------------------------------------------------------- *)
 
@@ -182,9 +201,24 @@ let policy_conv =
   let print fmt p = Format.fprintf fmt "%s" (Runtime.policy_desc p) in
   Arg.conv (parse, print)
 
+(* A run that fails at run time exits with a one-line diagnosis instead
+   of Cmdliner's "internal error" (exit 125): 3 for a simulated fault that
+   escaped the fault policy, 1 for an output file that cannot be written.
+   Wrapped around [with_self_profile], so the profile is still written. *)
+let exit_on_failure ~policy f =
+  try f () with
+  | Gem_sim.Fault.Trap fault ->
+      Printf.eprintf "[run] fault (%s policy): %s\n%!"
+        (Runtime.policy_desc policy)
+        (Gem_sim.Fault.to_string fault);
+      exit 3
+  | Sys_error msg ->
+      Printf.eprintf "[run] %s\n%!" msg;
+      exit 1
+
 let run_cmd =
   let run p backend model scale im2col_on_accel profile inject_seed inject_rate
-      policy watchdog cores domains trace_out trace_format checkpoint_every
+      policy watchdog cores trace_out trace_format checkpoint_every
       checkpoint_out restore max_replays self_profile metrics_out =
     let model = Gem_dnn.Model_zoo.scale_model ~factor:scale model in
     let core_cfg = { Soc_config.default_core with accel = p } in
@@ -239,6 +273,7 @@ let run_cmd =
       || policy = Runtime.Resume_checkpoint
     in
     let reg = Metrics.create () in
+    exit_on_failure ~policy @@ fun () ->
     with_self_profile self_profile @@ fun () ->
     match backend with
     | Gem_sw.Backend.Analytic ->
@@ -316,7 +351,7 @@ let run_cmd =
       else None
     in
     let rq =
-      Gem_sw.Backend.request ~policy ?watchdog ~domains ~config
+      Gem_sw.Backend.request ~policy ?watchdog ~config
         (Array.init cores (fun _ -> (model, mode)))
     in
     let results = Gem_sw.Backend_cycle.run_on soc rq in
@@ -373,7 +408,7 @@ let run_cmd =
   in
   let inject_rate =
     Arg.(
-      value & opt float 0.01
+      value & opt probability 0.01
       & info [ "inject-rate" ]
           ~doc:"Per-event fault probability when injection is armed.")
   in
@@ -389,20 +424,11 @@ let run_cmd =
   in
   let cores =
     Arg.(
-      value & opt int 1
+      value & opt pos_int 1
       & info [ "cores" ]
           ~doc:
             "Accelerator cores; with more than one, every core runs the \
              model in parallel and outputs are labeled per core.")
-  in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ]
-          ~doc:
-            "Host OCaml Domains driving a multi-core simulation (cycle \
-             backend). Cycle counts are byte-identical at any value; \
-             more than one only changes wall-clock time.")
   in
   let trace_out =
     Arg.(
@@ -452,11 +478,33 @@ let run_cmd =
             "With --fault-policy resume-checkpoint: recovery replays \
              allowed before the trap propagates.")
   in
-  Cmd.v (Cmd.info "run" ~doc:"Simulate a DNN inference on an SoC.")
+  let exits =
+    Cmd.Exit.
+      [
+        info 0 ~doc:"on success.";
+        info 1
+          ~doc:
+            "when an output file ($(b,--trace-out), $(b,--metrics-out), \
+             $(b,--self-profile), $(b,--checkpoint-out)) cannot be written.";
+        info 2
+          ~doc:
+            "when the requested options cannot run together, or a \
+             checkpoint cannot be restored.";
+        info 3
+          ~doc:
+            "when a simulated fault escapes the fault policy: under the \
+             default $(b,--fault-policy) abort, any injected fault.";
+        info 124
+          ~doc:
+            "on command line parsing errors, including out-of-range \
+             numeric values such as $(b,--scale) 0 or $(b,--inject-rate) 2.";
+      ]
+  in
+  Cmd.v (Cmd.info "run" ~exits ~doc:"Simulate a DNN inference on an SoC.")
     Term.(
       const run $ params_term $ backend_term $ model_term $ scale_term
       $ im2col $ profile $ inject_seed $ inject_rate $ policy $ watchdog
-      $ cores $ domains $ trace_out $ trace_format $ checkpoint_every
+      $ cores $ trace_out $ trace_format $ checkpoint_every
       $ checkpoint_out $ restore $ max_replays $ self_profile_term
       $ metrics_out_term)
 
@@ -504,7 +552,7 @@ let profile_cmd =
   in
   let cores =
     Arg.(
-      value & opt int 1
+      value & opt pos_int 1
       & info [ "cores" ] ~doc:"Accelerator cores running the model in parallel.")
   in
   let out =
@@ -870,7 +918,7 @@ let experiment_cmd =
 
 let serve_cmd =
   let module Serve = Gem_serve.Serve in
-  let run p model scale backend cores_list domains arrival seed batch slos
+  let run p model scale backend cores_list arrival seed batch slos
       duration no_warmup out trace_out warm warm_out rates jobs self_profile
       metrics_out =
     let name = model.Gem_dnn.Layer.model_name in
@@ -936,7 +984,7 @@ let serve_cmd =
         let result =
           with_self_profile self_profile (fun () ->
               try
-                Serve.run ?attach ?warm_in:warm ?warm_out ~domains
+                Serve.run ?attach ?warm_in:warm ?warm_out
                   (scenario_for ~cores ~arrival)
               with Invalid_argument msg ->
                 Printf.eprintf "[serve] %s\n%!" msg;
@@ -1018,20 +1066,12 @@ let serve_cmd =
   let cores =
     Arg.(
       value
-      & opt (list int) [ 2 ]
+      & opt (list pos_int) [ 2 ]
       & info [ "cores" ]
           ~doc:
             "Gemmini cores sharing the L2/DRAM. A single value for one \
              scenario; a comma-separated list becomes a sweep axis with \
              --rates.")
-  in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ]
-          ~doc:
-            "Host OCaml Domains driving the simulation (cycle backend, \
-             single scenario). Reports are byte-identical at any value.")
   in
   let arrival =
     Arg.(
@@ -1134,7 +1174,7 @@ let serve_cmd =
           (latency percentiles, SLO attainment, throughput curves).")
     Term.(
       const run $ params_term $ model_term $ scale_term $ backend_term
-      $ cores $ domains $ arrival $ seed $ batch $ slos $ duration
+      $ cores $ arrival $ seed $ batch $ slos $ duration
       $ no_warmup $ out $ trace_out $ warm $ warm_out $ rates $ jobs
       $ self_profile_term $ metrics_out_term)
 

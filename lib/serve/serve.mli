@@ -59,7 +59,6 @@ val run :
   ?attach:(Gem_soc.Soc.t -> unit) ->
   ?warm_in:string ->
   ?warm_out:string ->
-  ?domains:int ->
   scenario ->
   result
 (** Runs the scenario. [hist] is passed to {!Slo.analyze} (reset and

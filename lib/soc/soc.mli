@@ -90,12 +90,9 @@ type op =
   | Insn of Gemmini.Isa.t
   | Host_work of { cycles : int; tag : string }
   | Marker of (core -> unit)
-      (** executed (zero cost) when the core reaches this point *)
-  | Guarded of { op : op; run : core -> unit }
-      (** [run] executes [op] wrapped in caller-supplied trap handling
-          (the runtime's fault policies). Keeping the underlying [op]
-          visible lets the parallel driver classify the work as
-          core-private or shared without forcing the wrapper. *)
+      (** host closure run when the core reaches this point: a
+          bookkeeping marker (no simulated cost of its own), or the
+          runtime's fault-policy wrapper around one op *)
 
 val exec_op : core -> op -> unit
 (** Executes one op on the core. Exposed so recovery layers (the
@@ -105,18 +102,13 @@ val exec_op : core -> op -> unit
 val run_program : t -> core -> op Seq.t -> Gem_sim.Time.cycles
 (** Runs a single core's program to completion; returns its finish time. *)
 
-val run_parallel : ?domains:int -> t -> op Seq.t array -> Gem_sim.Time.cycles array
-(** Runs one program per core, interleaved in simulated-time order (the
-    core whose issue cursor is earliest executes next), so shared-resource
-    contention is interleaving-accurate. Returns per-core finish times.
-
-    With [domains > 1] (default 1), core-private ops execute on up to
-    [domains - 1] worker Domains while shared ops stay on the
-    coordinator, scheduled so every simulated-time pick happens in
-    exactly the sequential order: cycle counts, metrics and snapshots
-    are byte-identical at any Domain count. Falls back to the sequential
-    driver for single-program runs and whenever the engine has trace
-    observers attached ({!Gem_sim.Engine.observing}). *)
+val run_parallel : t -> op Seq.t array -> Gem_sim.Time.cycles array
+(** Runs one program per core on one coordinator: at every step the core
+    whose issue cursor is earliest in simulated time (the lower index on
+    a tie) executes its next op, so shared L2/DRAM accesses are ordered
+    by (simulated time, core) and contention is interleaving-accurate.
+    Returns per-core finish times. Raises [Invalid_argument] when there
+    are more programs than cores. *)
 
 val finish_time : t -> Gem_sim.Time.cycles
 (** Max finish time over cores. *)

@@ -552,12 +552,7 @@ let network_ops ?(start_layer = 0) ?(resume_finish = 0) ?(rebase = false)
         let wrap op =
           match op with
           | Soc.Marker _ -> op
-          | _ ->
-              (* [Guarded] rather than an opaque [Marker]: the parallel
-                 driver can still see the underlying op to classify it as
-                 core-private or shared. *)
-              Soc.Guarded
-                { op; run = (fun core -> guarded_exec soc g core op) }
+          | _ -> Soc.Marker (fun core -> guarded_exec soc g core op)
         in
         Seq.cons [ layer_open; begin_marker ]
           (Seq.append
@@ -698,7 +693,7 @@ let run ?(policy = Abort) ?watchdog ?prepare ?(start_layer = 0) ?resume
   in
   make_result soc core_idx model mode !records total ~faults:guard.g_faults
 
-let run_parallel ?(policy = Abort) ?watchdog ?(domains = 1) soc jobs =
+let run_parallel ?(policy = Abort) ?watchdog soc jobs =
   let programs =
     Array.mapi
       (fun i (model, mode) ->
@@ -713,8 +708,7 @@ let run_parallel ?(policy = Abort) ?watchdog ?(domains = 1) soc jobs =
   in
   let finishes =
     try
-      Soc.run_parallel ~domains soc
-        (Array.map (fun (_, _, ops) -> ops) programs)
+      Soc.run_parallel soc (Array.map (fun (_, _, ops) -> ops) programs)
     with Fault.Trap f ->
       (* Close the faulting core's open spans; the other cores' streams
          were cut mid-flight, so close theirs too. *)

@@ -1,6 +1,6 @@
-(* gem_sim: resource arbitration edge cases, trace ring-buffer semantics,
-   the engine's registry/clock/event stream, and end-to-end determinism of
-   a dual-core run. *)
+(* gem_sim: resource arbitration edge cases, the engine's
+   registry/clock/event stream, and end-to-end determinism of a dual-core
+   run. *)
 
 open Gem_sim
 module Soc = Gem_soc.Soc
@@ -62,42 +62,6 @@ let test_resource_reset () =
   Alcotest.(check int) "wait_cycles" 0 (Resource.wait_cycles r);
   Alcotest.(check int) "requests" 0 (Resource.requests r);
   Alcotest.(check string) "name survives" "r" (Resource.name r)
-
-(* --- Trace ---------------------------------------------------------------- *)
-
-let test_trace_ring () =
-  let tr = Trace.create ~capacity:4 ~enabled:true () in
-  for i = 1 to 6 do
-    Trace.record tr ~time:(10 * i) ~tag:"t" (string_of_int i)
-  done;
-  Alcotest.(check int) "count is total recorded" 6 (Trace.count tr);
-  let evs = Trace.events tr in
-  Alcotest.(check int) "capacity retained" 4 (List.length evs);
-  Alcotest.(check (list string)) "oldest first, newest last"
-    [ "3"; "4"; "5"; "6" ]
-    (List.map (fun e -> e.Trace.detail) evs);
-  Alcotest.(check (list int)) "times follow"
-    [ 30; 40; 50; 60 ]
-    (List.map (fun e -> e.Trace.time) evs)
-
-let test_trace_disabled_and_recordf () =
-  let tr = Trace.create ~capacity:4 ~enabled:false () in
-  Trace.record tr ~time:0 ~tag:"t" "dropped";
-  Alcotest.(check int) "disabled drops" 0 (Trace.count tr);
-  (* recordf must not even evaluate its format arguments when disabled. *)
-  let calls = ref 0 in
-  let expensive () v =
-    incr calls;
-    string_of_int v
-  in
-  Trace.recordf tr ~time:0 ~tag:"t" "val=%a" expensive 42;
-  Alcotest.(check int) "no formatting when disabled" 0 !calls;
-  Trace.set_enabled tr true;
-  Trace.recordf tr ~time:5 ~tag:"t" "val=%a" expensive 42;
-  Alcotest.(check int) "formats when enabled" 1 !calls;
-  match Trace.events tr with
-  | [ e ] -> Alcotest.(check string) "formatted detail" "val=42" e.Trace.detail
-  | evs -> Alcotest.failf "expected 1 event, got %d" (List.length evs)
 
 (* --- Engine --------------------------------------------------------------- *)
 
@@ -172,73 +136,6 @@ let test_engine_events_and_sinks () =
   match Engine.stats e with
   | [ s ] -> Alcotest.(check int) "reset clears resources" 0 s.Engine.stat_requests
   | _ -> Alcotest.fail "registry survives reset"
-
-(* --- Heap ------------------------------------------------------------------ *)
-
-let drain h =
-  let rec go acc =
-    match Heap.pop h with None -> List.rev acc | Some kv -> go (kv :: acc)
-  in
-  go []
-
-let test_heap_ordering () =
-  let h = Heap.create () in
-  Alcotest.(check bool) "fresh heap empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "peek on empty" None (Heap.peek_key h);
-  List.iter
-    (fun k -> Heap.push h ~key:k (10 * k))
-    [ 7; 3; 9; 1; 4; 8; 2; 6; 5; 0 ];
-  Alcotest.(check int) "size" 10 (Heap.size h);
-  Alcotest.(check (option int)) "peek is min" (Some 0) (Heap.peek_key h);
-  Alcotest.(check (list (pair int int))) "pops sorted by key"
-    (List.init 10 (fun k -> (k, 10 * k)))
-    (drain h);
-  Alcotest.(check bool) "drained" true (Heap.is_empty h)
-
-let test_heap_tie_stability () =
-  (* The multi-core driver breaks equal-time ties by insertion order;
-     equal keys must pop FIFO even across sift-up/down reshuffles. *)
-  let h = Heap.create () in
-  Heap.push h ~key:5 "a";
-  Heap.push h ~key:3 "x";
-  Heap.push h ~key:5 "b";
-  Heap.push h ~key:1 "y";
-  Heap.push h ~key:5 "c";
-  Alcotest.(check (list (pair int string))) "ties pop in insertion order"
-    [ (1, "y"); (3, "x"); (5, "a"); (5, "b"); (5, "c") ]
-    (drain h);
-  (* Stability must survive interleaved pops (the seq counter keeps
-     advancing; it is not reset by reaching empty). *)
-  Heap.push h ~key:2 "p";
-  Heap.push h ~key:2 "q";
-  Alcotest.(check (option (pair int string))) "reuse after drain"
-    (Some (2, "p")) (Heap.pop h);
-  Heap.push h ~key:2 "r";
-  Alcotest.(check (list (pair int string))) "FIFO across interleaved pops"
-    [ (2, "q"); (2, "r") ]
-    (drain h)
-
-let test_heap_grow_shrink () =
-  (* Push far past the initial capacity, drain to empty, and reuse: the
-     backing array growth must be invisible to ordering. *)
-  let h = Heap.create () in
-  for i = 99 downto 0 do
-    Heap.push h ~key:i i
-  done;
-  Alcotest.(check int) "grew past initial capacity" 100 (Heap.size h);
-  Alcotest.(check (list (pair int int))) "descending inserts pop ascending"
-    (List.init 100 (fun i -> (i, i)))
-    (drain h);
-  (* Shrink back to empty and round-trip again across the old boundary. *)
-  for round = 1 to 3 do
-    for i = 0 to 20 do
-      Heap.push h ~key:(i mod 4) (round * 100 + i)
-    done;
-    let keys = List.map fst (drain h) in
-    Alcotest.(check (list int)) "reused heap still sorted"
-      (List.sort compare keys) keys;
-    Alcotest.(check bool) "empty again" true (Heap.is_empty h)
-  done
 
 (* --- allocation-free quiet hot path ----------------------------------------
 
@@ -546,19 +443,12 @@ let suite =
     Alcotest.test_case "resource: next_free/occupy_until" `Quick
       test_resource_next_free_occupy;
     Alcotest.test_case "resource: reset" `Quick test_resource_reset;
-    Alcotest.test_case "trace: ring overwrite order" `Quick test_trace_ring;
-    Alcotest.test_case "trace: disabled recordf is free" `Quick
-      test_trace_disabled_and_recordf;
     Alcotest.test_case "engine: registry and probes" `Quick
       test_engine_registry;
     Alcotest.test_case "engine: clock and stats" `Quick
       test_engine_clock_and_stats;
     Alcotest.test_case "engine: events and sinks" `Quick
       test_engine_events_and_sinks;
-    Alcotest.test_case "heap: ordering" `Quick test_heap_ordering;
-    Alcotest.test_case "heap: same-key insertion order" `Quick
-      test_heap_tie_stability;
-    Alcotest.test_case "heap: grow, drain, reuse" `Quick test_heap_grow_shrink;
     Alcotest.test_case "alloc-free: Resource.acquire" `Quick
       test_alloc_free_resource_acquire;
     Alcotest.test_case "alloc-free: quiet engine acquire" `Quick
