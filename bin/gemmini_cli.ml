@@ -124,13 +124,26 @@ let model_term =
 (* Numeric flags whose out-of-range values would otherwise surface as
    uncaught exceptions deep in the simulator: rejected at parse time,
    they exit 124 with Cmdliner's usage message. *)
-let pos_int =
+let int_at_least lo ~what =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let pos_int = int_at_least 1 ~what:"a positive integer"
+let nonneg_int = int_at_least 0 ~what:"a non-negative integer"
+
+(* Finite and > 0: rejects 0, negatives, nan and inf. *)
+let pos_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when Float.is_finite f && f > 0. -> Ok f
+    | _ ->
+        Error (`Msg (Printf.sprintf "expected a positive finite number, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
 
 let probability =
   let parse s =
@@ -343,8 +356,9 @@ let run_cmd =
     (match inject_seed with
     | Some seed -> Soc.arm_injection soc ~seed ~rate:inject_rate
     | None -> ());
-    (* The trace collector doubles as the profile's latency source; it
-       never perturbs simulated timing. *)
+    (* The trace collector supplies the profile's layer table (queue
+       latency comes from the resources themselves); it never perturbs
+       simulated timing. *)
     let collector =
       if trace_out <> None || profile then
         Some (Gem_sim.Export.attach (Soc.engine soc))
@@ -419,7 +433,7 @@ let run_cmd =
   in
   let watchdog =
     Arg.(
-      value & opt (some int) None
+      value & opt (some pos_int) None
       & info [ "watchdog" ] ~doc:"Max cycles any single layer may spend.")
   in
   let cores =
@@ -447,7 +461,7 @@ let run_cmd =
   in
   let checkpoint_every =
     Arg.(
-      value & opt (some int) None
+      value & opt (some pos_int) None
       & info [ "checkpoint-every" ] ~docv:"N"
           ~doc:
             "Snapshot the full simulation state after every $(docv)-th \
@@ -472,7 +486,7 @@ let run_cmd =
   in
   let max_replays =
     Arg.(
-      value & opt int 3
+      value & opt nonneg_int 3
       & info [ "max-replays" ]
           ~doc:
             "With --fault-policy resume-checkpoint: recovery replays \
@@ -651,7 +665,7 @@ let sweep_cmd =
   in
   let jobs =
     Arg.(
-      value & opt int 1
+      value & opt nonneg_int 1
       & info [ "jobs"; "j" ]
           ~doc:
             "Simulation worker domains. 1 (the default) runs serially; 0 \
@@ -696,7 +710,7 @@ let sweep_cmd =
   in
   let retries =
     Arg.(
-      value & opt int 0
+      value & opt nonneg_int 0
       & info [ "retries" ]
           ~doc:
             "Retries per failing point (exponential backoff) before it is \
@@ -705,13 +719,13 @@ let sweep_cmd =
   in
   let backoff_ms =
     Arg.(
-      value & opt int 100
+      value & opt nonneg_int 100
       & info [ "backoff-ms" ]
           ~doc:"First retry backoff in milliseconds; doubles per attempt.")
   in
   let deadline =
     Arg.(
-      value & opt (some float) None
+      value & opt (some pos_float) None
       & info [ "deadline" ] ~docv:"SECONDS"
           ~doc:
             "Wall-clock budget per point evaluation (checked after the \
@@ -789,7 +803,7 @@ let fuzz_cmd =
     end
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"First case seed; case $(i) uses seed + i.") in
-  let count = Arg.(value & opt int 100 & info [ "count" ] ~doc:"Cases to run (self-test: per-mutation budget).") in
+  let count = Arg.(value & opt pos_int 100 & info [ "count" ] ~doc:"Cases to run (self-test: per-mutation budget).") in
   let shrink = Arg.(value & flag & info [ "shrink" ] ~doc:"Minimize each failing program (ddmin) and print it.") in
   let self_test =
     Arg.(
@@ -1102,13 +1116,13 @@ let serve_cmd =
   let slos =
     Arg.(
       value
-      & opt (list float) [ 5.0; 10.0 ]
+      & opt (list pos_float) [ 5.0; 10.0 ]
       & info [ "slo-ms" ]
           ~doc:"SLO targets in milliseconds (comma-separated).")
   in
   let duration =
     Arg.(
-      value & opt float 5.0
+      value & opt pos_float 5.0
       & info [ "duration" ] ~docv:"MS"
           ~doc:"Arrival-window length in milliseconds.")
   in
@@ -1152,7 +1166,7 @@ let serve_cmd =
   let rates =
     Arg.(
       value
-      & opt (some (list float)) None
+      & opt (some (list pos_float)) None
       & info [ "rates" ]
           ~doc:
             "Curve mode: sweep these Poisson arrival rates (req/s, \
@@ -1161,7 +1175,7 @@ let serve_cmd =
   in
   let jobs =
     Arg.(
-      value & opt int 1
+      value & opt nonneg_int 1
       & info [ "jobs"; "j" ]
           ~doc:
             "Worker domains for --rates curves; any value prints \

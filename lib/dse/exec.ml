@@ -176,9 +176,6 @@ let evaluate (p : Point.t) : Outcome.t =
     | Gem_sw.Backend.Analytic -> evaluate_analytic p base model
     | Gem_sw.Backend.Cycle ->
     let soc = Soc.create p.Point.soc in
-    (* Histograms and series only — span recording would churn memory for
-       hundreds of thousands of spans per point with no reader. *)
-    let collector = Gem_sim.Export.attach ~spans:false (Soc.engine soc) in
     let hierarchy = Soc.tlb (Soc.core soc 0) in
     let series =
       Option.map
@@ -226,7 +223,7 @@ let evaluate (p : Point.t) : Outcome.t =
       List.map
         (fun (name, _, (s : Gem_util.Stats.Histogram.summary)) ->
           (name, s.Gem_util.Stats.Histogram.p95))
-        (Gem_sim.Export.latency collector)
+        (Gem_sim.Engine.latency (Soc.engine soc))
     in
     let class_cycles =
       List.map

@@ -2,7 +2,9 @@ type t = {
   banks : int;
   rows_per_bank : int;
   elems_per_row : int;
-  data : int array array; (* bank -> flattened rows *)
+  data : int array array;
+      (* bank -> flattened rows; [[||]] until the bank is first touched,
+         so a timing-only SoC never allocates its scratchpad contents *)
   mutable reads : int;
   mutable writes : int;
 }
@@ -14,7 +16,7 @@ let create ~banks ~rows_per_bank ~elems_per_row =
     banks;
     rows_per_bank;
     elems_per_row;
-    data = Array.init banks (fun _ -> Array.make (rows_per_bank * elems_per_row) 0);
+    data = Array.make banks [||];
     reads = 0;
     writes = 0;
   }
@@ -32,11 +34,23 @@ let bank_of_row t row =
   check_row t row;
   row / t.rows_per_bank
 
+let bank_words t = t.rows_per_bank * t.elems_per_row
+
+(* The bank's storage, allocated (zeroed) on first touch. *)
+let bank_data t bank =
+  let d = t.data.(bank) in
+  if Array.length d > 0 then d
+  else begin
+    let d = Array.make (bank_words t) 0 in
+    t.data.(bank) <- d;
+    d
+  end
+
 let locate t row =
   check_row t row;
   let bank = row / t.rows_per_bank in
   let local = row mod t.rows_per_bank in
-  (t.data.(bank), local * t.elems_per_row)
+  (bank_data t bank, local * t.elems_per_row)
 
 let read_row t ~row =
   let bank, off = locate t row in
@@ -73,7 +87,13 @@ let accumulate_row t ~row src =
     (fun i v -> bank.(off + i) <- Gem_util.Fixed.sat32 (bank.(off + i) + v))
     src
 
-let fill t v = Array.iter (fun bank -> Array.fill bank 0 (Array.length bank) v) t.data
+(* Untouched banks already read as zeros, so filling with 0 only has to
+   clear the banks that exist. *)
+let fill t v =
+  for bank = 0 to t.banks - 1 do
+    if v <> 0 || Array.length t.data.(bank) > 0 then
+      Array.fill (bank_data t bank) 0 (bank_words t) v
+  done
 
 let reads t = t.reads
 let writes t = t.writes
@@ -96,7 +116,15 @@ let snapshot ?(with_data = false) t =
   let fields =
     if with_data then
       base
-      @ [ ("data", J.List (Array.to_list (Array.map Snap.of_int_array t.data))) ]
+      @ [
+          ( "data",
+            J.List
+              (List.init t.banks (fun bank ->
+                   let d = t.data.(bank) in
+                   Snap.of_int_array
+                     (if Array.length d > 0 then d
+                      else Array.make (bank_words t) 0))) );
+        ]
     else base
   in
   J.Obj fields
@@ -115,7 +143,8 @@ let restore t j =
       Snap.check ~what:"sram bank count" (List.length banks = t.banks);
       List.iteri
         (fun i bank ->
-          Snap.check ~what:"sram bank size"
-            (Array.length bank = Array.length t.data.(i));
-          Array.blit bank 0 t.data.(i) 0 (Array.length bank))
+          Snap.check ~what:"sram bank size" (Array.length bank = bank_words t);
+          (* An all-zero bank stays unallocated: it reads as zeros. *)
+          if Array.length t.data.(i) > 0 || Array.exists (( <> ) 0) bank then
+            Array.blit bank 0 (bank_data t i) 0 (Array.length bank))
         banks

@@ -6,7 +6,9 @@
     int32 for the accumulator). Rows are addressed with a flat row index
     whose high bits select the bank, exactly like Gemmini's local scratchpad
     addresses. The functional model stores real values; access counters feed
-    the statistics surface. *)
+    the statistics surface. Each bank's storage is allocated on first
+    access, so a timing-only run (which never reads or writes contents)
+    holds none; untouched rows read as zeros. *)
 
 type t
 

@@ -172,10 +172,9 @@ let run_cycle ?hist ?attach ?warm_in ?warm_out sv =
   let arrivals = Arrival.generate sv.sv_arrival ~seed:sv.sv_seed ~duration in
   let ncores = cores sv in
   let soc = Soc.create sv.sv_soc in
-  (* Internal collector: queue-latency histograms only. An extra span-
-     recording collector (Chrome trace) rides in via [attach]; neither
-     perturbs simulated timing. *)
-  let collector = Gem_sim.Export.attach ~spans:false (Soc.engine soc) in
+  (* Nothing is attached by default: queue latency comes from the
+     resources' own wait histograms, so the engine stays quiet. A trace
+     writer rides in via [attach] and does not perturb simulated timing. *)
   Option.iter (fun f -> f soc) attach;
   (* Tensor allocation is deterministic, so sessions made on the fresh
      SoC compute the same addresses a warm snapshot was taken over;
@@ -237,7 +236,7 @@ let run_cycle ?hist ?attach ?warm_in ?warm_out sv =
     List.map
       (fun (name, _, (s : Gem_util.Stats.Histogram.summary)) ->
         (name, s.Gem_util.Stats.Histogram.p95))
-      (Gem_sim.Export.latency collector)
+      (Gem_sim.Engine.latency (Soc.engine soc))
   in
   {
     sr_scenario = sv;

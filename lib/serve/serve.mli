@@ -51,7 +51,8 @@ type result = {
           every engine component; analytic: per-core mesh estimate) *)
   sr_comp_wait : (string * int) list;  (** cycle backend only *)
   sr_comp_p95 : (string * float) list;
-      (** per-component p95 queue latency (cycle backend only) *)
+      (** per-component p95 queue latency, from {!Gem_sim.Engine.latency}
+          (cycle backend only) *)
 }
 
 val run :
@@ -63,8 +64,9 @@ val run :
   result
 (** Runs the scenario. [hist] is passed to {!Slo.analyze} (reset and
     reused). [attach] runs after SoC creation and before any simulation —
-    the hook for an extra {!Gem_sim.Export} collector when a Chrome trace
-    is wanted; cycle backend only.
+    the hook for a trace writer ({!Gem_sim.Export}) when a Chrome trace
+    is wanted; cycle backend only. Without it the engine is never
+    {!Gem_sim.Engine.live}: serving runs the quiet, event-free path.
 
     Warm start (cycle backend only): [warm_out] saves a
     {!Gem_persist.Persist} envelope of the post-warmup SoC snapshot;

@@ -284,6 +284,21 @@ let stat_of_entry t e =
 
 let stats t = List.rev_map (stat_of_entry t) t.entries
 
+let latency t =
+  List.fold_left
+    (fun acc e ->
+      match e.e_impl with
+      | Owned { res; _ } ->
+          let n = Resource.wait_samples res in
+          if n = 0 then acc
+          else
+            ( e.e_name,
+              n,
+              Gem_util.Stats.Histogram.summary (Resource.wait_histogram res) )
+            :: acc
+      | Probe _ -> acc)
+    [] t.entries
+
 (* Pull-based: closures over [t] are sampled when the registry is
    snapshotted, after the run — registration itself costs nothing on the
    simulation path. *)

@@ -188,6 +188,12 @@ val total_faults : t -> int
 val stats : t -> stat list
 (** One row per registered component, in registration order. *)
 
+val latency : t -> (string * int * Gem_util.Stats.Histogram.summary) list
+(** Per-component [(name, requests, queue-wait summary)] for every owned
+    resource with at least one recorded request, in registration order:
+    {!Resource.wait_histogram} since SoC creation. Reading it costs
+    nothing during simulation, so the engine need not be {!live}. *)
+
 val horizon : t -> Time.cycles
 (** Alias of {!now}: the denominator for utilization. *)
 

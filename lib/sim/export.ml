@@ -2,14 +2,14 @@ module Stats = Gem_util.Stats
 module J = Gem_util.Jsonx
 module Table = Gem_util.Table
 
-(* Per-component aggregates fed by Acquire/Transfer events. *)
+(* Per-component time series fed by Acquire/Transfer events. Queue
+   latency is not here: every resource keeps its own wait histogram
+   ([Engine.latency]). *)
 type comp = {
   c_name : string;
-  c_lat : Stats.Histogram.t; (* queue latency: service start - request *)
   c_busy : Stats.Series.t; (* busy cycles, attributed to the start window *)
   c_backlog : Stats.Series.t; (* outstanding occupancy: finish - request *)
   c_bytes : Stats.Series.t; (* transferred bytes per window *)
-  mutable c_acquires : int;
   mutable c_transfers : int;
 }
 
@@ -23,8 +23,6 @@ type fault_mark = {
 type t = {
   engine : Engine.t;
   window : int;
-  lat_range : float;
-  lat_buckets : int;
   recorder : Span.t;
   spans_on : bool;
   comps : (string, comp) Hashtbl.t;
@@ -40,11 +38,9 @@ let comp_for t name =
       let c =
         {
           c_name = name;
-          c_lat = Stats.Histogram.create ~buckets:t.lat_buckets ~range:t.lat_range;
           c_busy = Stats.Series.create ~window:w;
           c_backlog = Stats.Series.create ~window:w;
           c_bytes = Stats.Series.create ~window:w;
-          c_acquires = 0;
           c_transfers = 0;
         }
       in
@@ -56,8 +52,6 @@ let on_event t (ev : Engine.event) =
   (match ev with
   | Engine.Acquire { component; time; start; finish } ->
       let c = comp_for t component in
-      c.c_acquires <- c.c_acquires + 1;
-      Stats.Histogram.add c.c_lat (float_of_int (start - time));
       Stats.Series.add c.c_busy ~time:(float_of_int start)
         (float_of_int (finish - start));
       Stats.Series.add c.c_backlog ~time:(float_of_int time)
@@ -75,15 +69,12 @@ let on_event t (ev : Engine.event) =
       ());
   if t.spans_on then Span.on_event t.recorder ev
 
-let attach ?(window = 65536) ?(lat_range = 4096.) ?(lat_buckets = 64)
-    ?(spans = true) ?acquire_spans engine =
+let attach ?(window = 65536) ?(spans = true) ?acquire_spans engine =
   if window <= 0 then invalid_arg "Export.attach: window <= 0";
   let t =
     {
       engine;
       window;
-      lat_range;
-      lat_buckets;
       recorder = Span.create ?acquire_spans ();
       spans_on = spans;
       comps = Hashtbl.create 16;
@@ -350,17 +341,6 @@ let write_chrome_file t path =
     ~finally:(fun () -> close_out oc)
     (fun () -> write_chrome t (output_string oc))
 
-(* --- summaries ------------------------------------------------------------ *)
-
-let latency t =
-  List.filter_map
-    (fun tk ->
-      match Hashtbl.find_opt t.comps tk.tk_name with
-      | Some c when c.c_acquires > 0 ->
-          Some (tk.tk_name, c.c_acquires, Stats.Histogram.summary c.c_lat)
-      | _ -> None)
-    (tracks t)
-
 (* --- text report ---------------------------------------------------------- *)
 
 let fmt_cycles f = if Float.is_nan f then "-" else Table.fmt_f ~dec:1 f
@@ -436,7 +416,7 @@ let report t =
     Buffer.add_char buf '\n'
   end;
   (* Queue-latency distribution per component. *)
-  (match latency t with
+  (match Engine.latency t.engine with
   | [] -> ()
   | rows ->
       let tbl =
@@ -488,8 +468,8 @@ let report t =
    Track metadata is emitted lazily, the first time a component appears;
    because the simulation is deterministic, first-appearance order is
    too, and two identical runs stream byte-identical files. Counter
-   tracks and queue-latency aggregation are deliberately out of scope —
-   attach a batch collector alongside when those are wanted. *)
+   tracks are deliberately out of scope — attach a batch collector
+   alongside when those are wanted. *)
 
 module Streaming = struct
   type frame = {

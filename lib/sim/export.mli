@@ -2,10 +2,14 @@
 
     An [Export.t] is an engine sink that aggregates the event stream into
     - a {!Span.t} recorder (the network > layer > kernel > command tree),
-    - per-component queue-latency {e histograms} (request-to-service-start
-      cycles of every [Acquire] event),
     - windowed {e time series}: busy occupancy, outstanding backlog and
       transferred bytes per fixed-width window of simulated time.
+
+    Queue latency is not collected here: every engine-owned resource
+    keeps its own wait histogram ({!Engine.latency}), and {!report}
+    reads that. It counts from SoC creation, not from {!attach}; every
+    in-repo caller attaches right after [Soc.create], so the report
+    covers the same requests as the collector's spans.
 
     Two export formats:
 
@@ -32,8 +36,6 @@ type t
 
 val attach :
   ?window:int ->
-  ?lat_range:float ->
-  ?lat_buckets:int ->
   ?spans:bool ->
   ?acquire_spans:(string -> bool) ->
   Engine.t ->
@@ -42,10 +44,7 @@ val attach :
     {!Engine.live}) and returns it.
 
     [window] (default 65536) is the time-series bucket width in cycles.
-    [lat_range]/[lat_buckets] (default 4096.0 / 64) shape the queue-latency
-    histograms; samples beyond the range clamp into the last bucket while
-    the recorded maximum stays exact. [spans:false] drops span and acquire
-    events (histograms and series only — what a DSE sweep wants).
+    [spans:false] drops span and acquire events (series only).
     [acquire_spans] is passed to {!Span.create}. *)
 
 val recorder : t -> Span.t
@@ -54,9 +53,6 @@ val engine : t -> Engine.t
 val finalize : t -> unit
 (** {!Span.finalize} at the engine horizon. Call after the run, before
     exporting. Idempotent in effect: already-closed spans are untouched. *)
-
-val latency : t -> (string * int * Gem_util.Stats.Histogram.summary) list
-(** Per-component [(name, acquires, latency summary)] in track order. *)
 
 val write_chrome : t -> (string -> unit) -> unit
 (** Streams the JSON through the callback (called many times with small
@@ -87,10 +83,11 @@ val report : t -> string
     is what [serve --trace-out] uses.
 
     Differences from the batch exporter: track metadata appears lazily
-    (first use) rather than up front, and there are no counter tracks or
-    queue-latency aggregates — attach a batch collector alongside when
-    those are needed. Determinism is unchanged: a deterministic run
-    streams a byte-identical file every time. *)
+    (first use) rather than up front, and there are no counter tracks —
+    attach a batch collector alongside when those are needed (queue
+    latency needs neither: {!Engine.latency}). Determinism is
+    unchanged: a deterministic run streams a byte-identical file every
+    time. *)
 module Streaming : sig
   type t
 

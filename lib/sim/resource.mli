@@ -39,10 +39,24 @@ val requests : t -> int
 val wait_cycles : t -> Time.cycles
 (** Total cycles requests spent queued behind earlier requests. *)
 
+val wait_samples : t -> int
+(** Requests recorded in the wait histogram: every {!acquire} and
+    {!occupy_until} since creation (or the last {!reset}). *)
+
+val wait_histogram : t -> Gem_util.Stats.Histogram.t
+(** Distribution of per-request queue waits ([start - now]) since
+    creation (or the last {!reset}): 64 buckets of 64 cycles, waits of
+    4096 cycles or more clamped into the last bucket, and the exact
+    maximum wait. Recording it costs each request one bucket increment
+    and one compare, with no allocation. It is host-side observability,
+    not simulated state: {!force_state} (and so checkpoint restore)
+    leaves it alone. A fresh copy on every call. *)
+
 val utilization : t -> horizon:Time.cycles -> float
 (** Fraction of [horizon] the resource spent busy. *)
 
 val reset : t -> unit
+(** Zeroes every counter, the wait histogram included. *)
 
 val force_state :
   t ->
@@ -52,4 +66,5 @@ val force_state :
   wait_cycles:Time.cycles ->
   unit
 (** Overwrite all four arbitration counters at once — the checkpoint
-    restore path. Not for use during simulation. *)
+    restore path. Not for use during simulation. The wait histogram is
+    left as it is. *)

@@ -94,6 +94,27 @@ module Histogram = struct
     if t.n = 0 || x > t.raw_max then t.raw_max <- x;
     t.n <- t.n + 1
 
+  (* Rebuilds a histogram from counts kept elsewhere (e.g. plain int
+     counters on a hot path), so summaries share [percentile]. The exact
+     maximum must land in the highest non-empty bucket, or the counts and
+     the maximum describe different sample streams. *)
+  let of_counts ~range counts ~max =
+    let t = create ~buckets:(Array.length counts) ~range in
+    Array.iteri
+      (fun i c ->
+        if c < 0 then invalid_arg "Histogram.of_counts: negative count";
+        t.counts.(i) <- c;
+        t.n <- t.n + c)
+      counts;
+    if t.n > 0 then begin
+      let top = ref (Array.length counts - 1) in
+      while counts.(!top) = 0 do decr top done;
+      if Float.is_nan max || bucket_of t max <> !top then
+        invalid_arg "Histogram.of_counts: max outside the top non-empty bucket";
+      t.raw_max <- max
+    end;
+    t
+
   let bucket_counts t = Array.copy t.counts
   let count t = t.n
   let max t = t.raw_max

@@ -50,6 +50,16 @@ module Histogram : sig
 
   val create : buckets:int -> range:float -> t
   val add : t -> float -> unit
+
+  val of_counts : range:float -> int array -> max:float -> t
+  (** [of_counts ~range counts ~max] is the histogram over
+      [Array.length counts] buckets spanning [range] that holds [counts]
+      (copied) and whose exact maximum is [max] — as if every sample had
+      gone through {!add}. [max] is ignored when all counts are 0.
+      Raises [Invalid_argument] on an empty array, a negative count, a
+      non-positive range, or a [max] whose bucket is not the highest
+      non-empty one. *)
+
   val bucket_counts : t -> int array
   val count : t -> int
 

@@ -5,6 +5,7 @@ let () =
       ("obs", Test_obs.suite);
       ("sim", Test_sim.suite);
       ("trace", Test_trace.suite);
+      ("latency", Test_latency.suite);
       ("mem", Test_mem.suite);
       ("vm", Test_vm.suite);
       ("mesh", Test_mesh.suite);

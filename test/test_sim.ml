@@ -185,6 +185,16 @@ let test_alloc_free_engine_quiet () =
         done)
   in
   Alcotest.(check (float 0.)) "quiet Engine.acquire allocates nothing" 0.
+    bytes;
+  (* Queued requests: waits grow by 99 cycles per call, sweeping every
+     wait-histogram bucket and then the clamp. *)
+  let bytes =
+    measure_alloc (fun () ->
+        for i = 1 to 10_000 do
+          ignore (Engine.acquire e bus ~now:i ~occupancy:100)
+        done)
+  in
+  Alcotest.(check (float 0.)) "queued Engine.acquire allocates nothing" 0.
     bytes
 
 let test_alloc_constant_dma_transfer () =
